@@ -67,8 +67,6 @@ def probe_decision_boundary(
             "boundary probing requires a 2-feature dataset "
             f"(got shape {X_train.shape})"
         )
-    dataset_id = platform.upload_dataset(X_train, y_train, name="boundary-probe")
-    model_id = platform.create_model(dataset_id)
     x_low, x_high = X_train[:, 0].min() - margin, X_train[:, 0].max() + margin
     y_low, y_high = X_train[:, 1].min() - margin, X_train[:, 1].max() + margin
     xx, yy = np.meshgrid(
@@ -76,8 +74,12 @@ def probe_decision_boundary(
         np.linspace(y_low, y_high, resolution),
     )
     mesh = np.column_stack([xx.ravel(), yy.ravel()])
-    predictions = platform.batch_predict(model_id, mesh).reshape(xx.shape)
-    platform.delete_dataset(dataset_id)
+    dataset_id = platform.upload_dataset(X_train, y_train, name="boundary-probe")
+    try:
+        model_id = platform.create_model(dataset_id)
+        predictions = platform.batch_predict(model_id, mesh).reshape(xx.shape)
+    finally:
+        platform.delete_dataset(dataset_id)
     return BoundaryProbe(xx=xx, yy=yy, predictions=predictions)
 
 

@@ -69,35 +69,13 @@ class ExperimentRunner:
             dataset_id = platform.upload_dataset(
                 split.X_train, split.y_train, name=dataset.name
             )
-            model_id = platform.create_model(
-                dataset_id,
-                classifier=configuration.classifier,
-                params=configuration.params_dict or None,
-                feature_selection=configuration.feature_selection,
-            )
-            handle = platform.get_model(model_id)
-            if handle.state is JobState.FAILED:
-                return ExperimentResult(
-                    platform=platform.name,
-                    dataset=dataset.name,
-                    configuration=configuration,
-                    metrics=_FAILED_METRICS,
-                    status="failed",
-                    failure_reason=str(handle.failure_reason),
-                )
-            predictions = platform.batch_predict(model_id, split.X_test)
-            metrics = classification_summary(split.y_test, predictions)
-            metadata = dict(handle.metadata)
-            metadata["n_predictions"] = int(len(predictions))
-            # Free server-side resources, as a quota-conscious script would.
-            platform.delete_dataset(dataset_id)
-            return ExperimentResult(
-                platform=platform.name,
-                dataset=dataset.name,
-                configuration=configuration,
-                metrics=metrics,
-                metadata=metadata,
-            )
+            try:
+                return self._measure(platform, dataset, configuration,
+                                     split, dataset_id)
+            finally:
+                # Free server-side resources on every path, failed jobs
+                # included, as a quota-conscious script would.
+                platform.delete_dataset(dataset_id)
         except PlatformError as exc:
             return ExperimentResult(
                 platform=platform.name,
@@ -107,6 +85,38 @@ class ExperimentRunner:
                 status="failed",
                 failure_reason=str(exc),
             )
+
+    @staticmethod
+    def _measure(platform, dataset, configuration, split,
+                 dataset_id) -> ExperimentResult:
+        """Train on an uploaded dataset, predict the test split, score."""
+        model_id = platform.create_model(
+            dataset_id,
+            classifier=configuration.classifier,
+            params=configuration.params_dict or None,
+            feature_selection=configuration.feature_selection,
+        )
+        handle = platform.get_model(model_id)
+        if handle.state is JobState.FAILED:
+            return ExperimentResult(
+                platform=platform.name,
+                dataset=dataset.name,
+                configuration=configuration,
+                metrics=_FAILED_METRICS,
+                status="failed",
+                failure_reason=str(handle.failure_reason),
+            )
+        predictions = platform.batch_predict(model_id, split.X_test)
+        metrics = classification_summary(split.y_test, predictions)
+        metadata = dict(handle.metadata)
+        metadata["n_predictions"] = int(len(predictions))
+        return ExperimentResult(
+            platform=platform.name,
+            dataset=dataset.name,
+            configuration=configuration,
+            metrics=metrics,
+            metadata=metadata,
+        )
 
     def sweep(
         self,
@@ -167,12 +177,14 @@ class ExperimentRunner:
         dataset_id = platform.upload_dataset(
             split.X_train, split.y_train, name=dataset.name
         )
-        model_id = platform.create_model(
-            dataset_id,
-            classifier=configuration.classifier,
-            params=configuration.params_dict or None,
-            feature_selection=configuration.feature_selection,
-        )
-        predictions = platform.batch_predict(model_id, split.X_test)
-        platform.delete_dataset(dataset_id)
+        try:
+            model_id = platform.create_model(
+                dataset_id,
+                classifier=configuration.classifier,
+                params=configuration.params_dict or None,
+                feature_selection=configuration.feature_selection,
+            )
+            predictions = platform.batch_predict(model_id, split.X_test)
+        finally:
+            platform.delete_dataset(dataset_id)
         return split.y_test, predictions

@@ -21,6 +21,7 @@ bit-identical to the serial path (the scheduler's determinism contract).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.config_space import (
@@ -245,6 +246,16 @@ class MLaaSStudy:
         platforms = [platform for platform, _ in plan]
         configurations = {platform.name: configs
                           for platform, configs in plan}
+        if len(configurations) != len(plan):
+            # The backends key configurations by platform name: a
+            # concatenated plan would silently drop all but the last.
+            counts = Counter(platform.name for platform in platforms)
+            duplicated = sorted(n for n, count in counts.items() if count > 1)
+            raise ValidationError(
+                f"campaign plan names platform(s) {duplicated} more than "
+                f"once; run each protocol plan on its own or merge their "
+                f"configurations"
+            )
         if self.processes > 1:
             engine = ShardedCampaign(processes=self.processes)
             store = engine.run(

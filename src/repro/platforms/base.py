@@ -342,11 +342,24 @@ class MLaaSPlatform:
         return dataset_id
 
     def delete_dataset(self, dataset_id: str) -> None:
-        """Remove an uploaded dataset."""
+        """Remove an uploaded dataset and the finished models trained on it.
+
+        COMPLETED and FAILED models go with their training data, so a
+        long-lived service keeps only the models of live datasets rather
+        than every estimator it ever fitted.  A job still QUEUED stays:
+        it fails with "deleted before training" when the queue reaches it.
+        """
         self._consume_request()
         if dataset_id not in self._datasets:
             raise ResourceNotFoundError(f"no dataset {dataset_id!r}")
         del self._datasets[dataset_id]
+        finished = [
+            model_id for model_id, handle in self._models.items()
+            if handle.dataset_id == dataset_id
+            and handle.state in (JobState.COMPLETED, JobState.FAILED)
+        ]
+        for model_id in finished:
+            del self._models[model_id]
         if not self._datasets and self._owns_fit_cache:
             # No data left to train on: drop the memoized stage fits so
             # a long-lived platform does not pin dead arrays.  (Counters

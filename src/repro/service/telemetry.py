@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from pathlib import Path
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "Counter",
     "Histogram",
     "LATENCY_BUCKETS_SECONDS",
+    "SAMPLE_WINDOW",
     "SUMMARY_PERCENTILES",
     "Telemetry",
     "exact_quantile",
@@ -42,6 +44,11 @@ ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0)
 #: The percentiles every summary reports (the serving benchmark's
 #: p50/p95/p99 and the tails the paper's latency discussion cares about).
 SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
+
+#: Raw samples kept per series: the most recent ones, so a long-running
+#: server's memory stays flat.  Summaries are exact over this window,
+#: and at 2048 the p99 still has 20 samples beyond it.
+SAMPLE_WINDOW = 2048
 
 
 def exact_quantile(sorted_samples, q: float) -> float:
@@ -169,7 +176,7 @@ class Telemetry:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._platforms: dict[str, dict] = {}
-        self._samples: dict[str, list[float]] = {}
+        self._samples: dict[str, deque[float]] = {}
 
     # -- recording -------------------------------------------------------
 
@@ -227,19 +234,23 @@ class Telemetry:
 
         Unlike :meth:`observe`, the value itself is retained (not just a
         bucket count), so :meth:`sample_summaries` can report exact
-        percentiles — what the serving layer's ``/metrics/summary`` and
-        the load-generator report are built on.
+        percentiles — what the serving layer's ``/metrics/summary`` is
+        built on.  Each series keeps its last :data:`SAMPLE_WINDOW`
+        values; older ones are dropped.
         """
         with self._lock:
-            self._samples.setdefault(name, []).append(float(value))
+            series = self._samples.get(name)
+            if series is None:
+                series = self._samples[name] = deque(maxlen=SAMPLE_WINDOW)
+            series.append(float(value))
 
     def sample_values(self, name: str) -> list:
-        """Copy of the raw samples recorded under ``name`` (maybe empty)."""
+        """Copy of the retained samples under ``name``, oldest first."""
         with self._lock:
             return list(self._samples.get(name, ()))
 
     def sample_summaries(self) -> dict:
-        """Exact percentile summaries of every recorded sample series."""
+        """Exact percentile summaries of every series' retained window."""
         with self._lock:
             series = {name: list(values)
                       for name, values in self._samples.items()}

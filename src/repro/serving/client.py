@@ -30,6 +30,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import socket
 import threading
 from urllib.parse import urlsplit
 
@@ -46,6 +47,20 @@ from repro.serving.protocol import (
 __all__ = ["HTTPPlatformClient"]
 
 _PLATFORM_CLASSES = {cls.name: cls for cls in ALL_PLATFORMS}
+
+
+class _NoDelayConnection(http.client.HTTPConnection):
+    """Keep-alive connection with Nagle's algorithm off on every connect.
+
+    ``http.client`` may send a POST's headers and body as two writes;
+    with Nagle on, the body then waits for the server's delayed ACK.
+    Some stdlib versions set ``TCP_NODELAY`` themselves; setting it here
+    makes every supported Python behave alike, reconnects included.
+    """
+
+    def connect(self):
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class HTTPPlatformClient:
@@ -212,7 +227,7 @@ class HTTPPlatformClient:
 
     def _round_trip(self, method, target, raw, headers) -> tuple:
         if self._connection is None:
-            self._connection = http.client.HTTPConnection(
+            self._connection = _NoDelayConnection(
                 self._host, self._port, timeout=self._timeout
             )
         self._connection.request(method, target, body=raw, headers=headers)

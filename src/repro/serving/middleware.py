@@ -13,7 +13,8 @@ gateway composes them (outermost first) as::
   access log and error body.
 * **access-log** — appends one structured JSONL record per request
   (request id, method, path, status, elapsed seconds on the gateway
-  clock) to an in-memory ring that optionally drains to a file.
+  clock) to an in-memory ring of the last :data:`ACCESS_LOG_WINDOW`
+  records that optionally drains every record to a file.
 * **error-map** — turns every :class:`~repro.exceptions.ReproError`
   into its :data:`~repro.serving.protocol.ERROR_STATUS` status with the
   structured JSON error envelope; unexpected exceptions become opaque
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from collections import deque
 from pathlib import Path
 
 from repro.exceptions import (
@@ -46,6 +48,7 @@ from repro.serving.protocol import (
 )
 
 __all__ = [
+    "ACCESS_LOG_WINDOW",
     "AccessLog",
     "RequestIdAllocator",
     "build_stack",
@@ -53,6 +56,9 @@ __all__ = [
 
 #: Header carrying the request id in both directions.
 _REQUEST_ID_HEADER = "X-Repro-Request-Id"
+
+#: Access records kept in memory; older ones survive only in the file.
+ACCESS_LOG_WINDOW = 1024
 
 
 class RequestIdAllocator:
@@ -78,18 +84,20 @@ class RequestIdAllocator:
 class AccessLog:
     """Thread-safe structured access log with optional JSONL file drain.
 
-    Records accumulate in memory (``records()`` is the test/debug
-    surface); when constructed with a path, :meth:`flush` appends the
-    pending batch as JSON Lines.  The pending batch is drained under the
-    lock but written outside it, so request threads never block on file
-    I/O; concurrent flushes may interleave *batches* out of order, but
-    every line stays intact.
+    The last :data:`ACCESS_LOG_WINDOW` records stay in memory
+    (``records()`` is the test/debug surface), so a long-running server
+    does not grow with the requests it has served; when constructed
+    with a path, :meth:`flush` appends every pending record as JSON
+    Lines.  The pending batch is drained under the lock but written
+    outside it, so request threads never block on file I/O; concurrent
+    flushes may interleave *batches* out of order, but every line stays
+    intact.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._records: list[dict] = []
+        self._records: deque[dict] = deque(maxlen=ACCESS_LOG_WINDOW)
         self._pending: list[dict] = []
 
     def record(self, entry: dict) -> None:
@@ -100,7 +108,7 @@ class AccessLog:
                 self._pending.append(entry)
 
     def records(self) -> list[dict]:
-        """Copy of every record seen so far."""
+        """Copy of the most recent records, oldest first."""
         with self._lock:
             return list(self._records)
 

@@ -37,6 +37,7 @@ surfacing numpy errors from inside an estimator.
 
 from __future__ import annotations
 
+import io
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -317,11 +318,61 @@ class PlatformHTTPServer(ThreadingHTTPServer):
             return self._requests_left <= 0
 
 
+class _ResponseWriter(io.BufferedIOBase):
+    """``wfile`` that sends everything written since the last flush at once.
+
+    The stdlib handler writes the status line and headers
+    (``end_headers``) and then the body as two sends.  On a keep-alive
+    connection with Nagle's algorithm on, the body then waits for the
+    client's delayed ACK: ~40 ms per reply on Linux loopback.  Holding
+    the pieces until :meth:`flush` puts every response — gateway
+    replies and the stdlib's own ``send_error`` pages alike — on the
+    wire in one ``sendall``.  ``handle_one_request`` flushes after each
+    request and ``finish`` before the connection closes.
+    """
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._parts: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        chunk = bytes(data)
+        self._parts.append(chunk)
+        return len(chunk)
+
+    def flush(self) -> None:
+        if self._parts:
+            data = b"".join(self._parts)
+            self._parts.clear()
+            self._sock.sendall(data)
+
+
 class _GatewayRequestHandler(BaseHTTPRequestHandler):
-    """Translates raw HTTP to gateway :class:`Request`/:class:`Response`."""
+    """Translates raw HTTP to gateway :class:`Request`/:class:`Response`.
+
+    Each response leaves in one write (:class:`_ResponseWriter`) on a
+    socket with ``TCP_NODELAY`` set, so no reply ever waits on the
+    peer's delayed ACK.
+    """
 
     server_version = "repro-serving/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def handle_expect_100(self):
+        # The interim 100 Continue is its own response: the client holds
+        # the body back until it arrives, so it cannot wait for the final
+        # reply's flush.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def do_GET(self):  # noqa: N802 (stdlib handler naming)
         self._dispatch("GET")
@@ -358,6 +409,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
+        self.wfile.flush()
         if self.server.note_request_handled():
             # The request budget (serve --max-requests) is exhausted:
             # stop the serve loop from this handler thread.

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import Configuration, ExperimentRunner
 from repro.datasets import load_dataset
-from repro.platforms import Google
+from repro.datasets.corpus import SplitDataset
+from repro.exceptions import PlatformError
+from repro.platforms import BigML, Google
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +56,41 @@ def test_identical_measurements_are_reproducible(dataset):
     b = runner.run_one(Google(random_state=5), dataset, Configuration.make())
     assert a.metrics == b.metrics
     assert a.metadata["job_seed"] == b.metadata["job_seed"]
+
+
+def _single_class_split():
+    """A split whose training labels hold one class: every job fails."""
+    rng = np.random.default_rng(4)
+    return SplitDataset(
+        name="degenerate/single-class",
+        X_train=rng.standard_normal((20, 3)),
+        X_test=rng.standard_normal((6, 3)),
+        y_train=np.zeros(20, dtype=np.intp),
+        y_test=np.zeros(6, dtype=np.intp),
+    )
+
+
+class _PredictOutage(Google):
+    """Google whose trained models cannot be queried."""
+
+    def batch_predict(self, model_id, X):
+        raise PlatformError("synthetic prediction outage")
+
+
+@pytest.mark.parametrize("platform_class,split_of,reason", [
+    # The job itself fails: run_one returns early with the job's reason.
+    (BigML, lambda dataset: _single_class_split(), "class"),
+    # The job trains but the predict call raises a PlatformError.
+    (_PredictOutage, None, "prediction outage"),
+])
+def test_failed_measurement_leaves_no_server_state(dataset, platform_class,
+                                                   split_of, reason):
+    platform = platform_class(random_state=0)
+    runner = ExperimentRunner(split_seed=0)
+    split = split_of(dataset) if split_of is not None else None
+    result = runner.run_one(platform, dataset, Configuration.make(),
+                            split=split)
+    assert not result.ok
+    assert reason in result.failure_reason
+    assert platform.list_datasets() == []
+    assert platform.list_models() == []

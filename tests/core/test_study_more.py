@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MLaaSStudy, StudyScale
+from repro.exceptions import ValidationError
 from repro.platforms import Google, LocalLibrary
 
 
@@ -42,3 +43,18 @@ def test_per_control_rejects_unknown_dimension():
     study = MLaaSStudy(scale=StudyScale.tiny())
     with pytest.raises(Exception):
         study.run_per_control("IMPL")
+
+
+def test_campaign_plan_naming_a_platform_twice_is_rejected():
+    study = MLaaSStudy(scale=StudyScale.tiny(), random_state=0, workers=2)
+    feat, clf = study.protocol_plan("FEAT"), study.protocol_plan("CLF")
+    both = sorted({p.name for p, _ in feat} & {p.name for p, _ in clf})
+    assert both  # the concatenation really repeats platforms
+    uploads = []
+    for platform, _ in feat + clf:
+        platform.upload_dataset = lambda *a, **k: uploads.append(a)
+    with pytest.raises(ValidationError) as caught:
+        study.run_campaign_plan(feat + clf)
+    for name in both:
+        assert repr(name) in str(caught.value)
+    assert uploads == []  # rejected before any backend ran

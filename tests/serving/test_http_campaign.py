@@ -12,6 +12,8 @@ here means the wire added *nothing*: not a ulp of metric drift, not a
 reordering, not a changed failure string.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import ExperimentRunner, MLaaSStudy, StudyScale
@@ -56,41 +58,48 @@ def server():
     http_server.server_close()
 
 
+@contextmanager
 def _clients(server, tag):
-    return [
+    clients = [
         HTTPPlatformClient(server.url, cls.name,
                            client_id=f"{tag}-{cls.name}")
         for cls in PLATFORM_CLASSES
     ]
+    try:
+        yield clients
+    finally:
+        for client in clients:
+            client.close()
 
 
 def test_http_sweep_is_bit_identical_to_in_process(corpus, serial, server):
     runner = ExperimentRunner(split_seed=7)
     store = ResultStore()
-    for client in _clients(server, "sweep"):
-        store.extend(runner.sweep(
-            client, corpus, [baseline_configuration(client)]
-        ))
+    with _clients(server, "sweep") as clients:
+        for client in clients:
+            store.extend(runner.sweep(
+                client, corpus, [baseline_configuration(client)]
+            ))
     assert list(store) == serial
 
 
 def test_study_runs_unchanged_over_http_clients(serial, server):
     scale = StudyScale(max_datasets=3, size_cap=100, feature_cap=6)
-    study = MLaaSStudy(scale=scale, random_state=0,
-                       platforms=_clients(server, "study"))
-    assert list(study.run_baseline()) == serial
+    with _clients(server, "study") as clients:
+        study = MLaaSStudy(scale=scale, random_state=0, platforms=clients)
+        assert list(study.run_baseline()) == serial
 
 
 def test_concurrent_http_campaigns_stay_bit_identical(corpus, serial,
                                                       server):
     for iteration in range(STRESS_ITERATIONS):
-        clients = _clients(server, f"stress{iteration}")
-        scheduler = CampaignScheduler(workers=4, seed=0)
-        store = scheduler.run(
-            ExperimentRunner(split_seed=7), clients, corpus,
-            {client.name: [baseline_configuration(client)]
-             for client in clients},
-        )
+        with _clients(server, f"stress{iteration}") as clients:
+            scheduler = CampaignScheduler(workers=4, seed=0)
+            store = scheduler.run(
+                ExperimentRunner(split_seed=7), clients, corpus,
+                {client.name: [baseline_configuration(client)]
+                 for client in clients},
+            )
         assert list(store) == serial, f"diverged on iteration {iteration}"
 
 
@@ -119,9 +128,12 @@ def test_failure_reasons_cross_the_wire_verbatim(server):
         local, _NamedDataset, baseline_configuration(local), split=split
     )
     client = HTTPPlatformClient(server.url, "bigml", client_id="fail")
-    wire_result = runner.run_one(
-        client, _NamedDataset, baseline_configuration(client), split=split
-    )
+    try:
+        wire_result = runner.run_one(
+            client, _NamedDataset, baseline_configuration(client), split=split
+        )
+    finally:
+        client.close()
     assert local_result.status == "failed"
     assert wire_result == local_result
     assert wire_result.failure_reason == local_result.failure_reason

@@ -33,6 +33,21 @@ Y = (X[:, 0] > 0).astype(int)
 
 
 @pytest.fixture()
+def make_client():
+    """Build HTTP clients that are all closed when the test ends."""
+    clients = []
+
+    def build(url, platform="bigml", **kwargs):
+        client = HTTPPlatformClient(url, platform, **kwargs)
+        clients.append(client)
+        return client
+
+    yield build
+    for client in clients:
+        client.close()
+
+
+@pytest.fixture()
 def loopback():
     gateway = ServingGateway([BigML(random_state=0)])
     server, thread = serve_background(gateway)
@@ -42,9 +57,9 @@ def loopback():
     server.server_close()
 
 
-def test_health_and_platform_listing_over_the_wire(loopback):
+def test_health_and_platform_listing_over_the_wire(loopback, make_client):
     server, _ = loopback
-    client = HTTPPlatformClient(server.url, "bigml")
+    client = make_client(server.url)
     health = client.health()
     assert health["status"] == "ok"
     assert health["platforms"] == ["bigml"]
@@ -58,9 +73,10 @@ def test_health_and_platform_listing_over_the_wire(loopback):
     connection.close()
 
 
-def test_full_cycle_and_error_tunnelling_over_the_wire(loopback):
+def test_full_cycle_and_error_tunnelling_over_the_wire(loopback,
+                                                      make_client):
     server, _ = loopback
-    client = HTTPPlatformClient(server.url, "bigml")
+    client = make_client(server.url)
     dataset_id = client.upload_dataset(X, Y, name="wire")
     model_id = client.create_model(dataset_id, classifier="DT")
     handle = client.get_model(model_id)
@@ -96,13 +112,13 @@ def test_client_raises_validation_error_for_bad_targets():
         HTTPPlatformClient("http://127.0.0.1:1", "quantum-ml")
 
 
-def test_oversized_declared_body_is_refused_without_reading():
+def test_oversized_declared_body_is_refused_without_reading(make_client):
     gateway = ServingGateway(
         [BigML(random_state=0)], limits=ServingLimits(max_body_bytes=1024)
     )
     server, thread = serve_background(gateway)
     try:
-        client = HTTPPlatformClient(server.url, "bigml")
+        client = make_client(server.url)
         with pytest.raises(PayloadTooLargeError):
             client.upload_dataset(
                 RNG.standard_normal((400, 10)),
@@ -117,15 +133,15 @@ def test_oversized_declared_body_is_refused_without_reading():
         server.server_close()
 
 
-def test_request_ids_propagate_from_client_to_access_log(tmp_path):
+def test_request_ids_propagate_from_client_to_access_log(tmp_path,
+                                                         make_client):
     log_path = tmp_path / "access.jsonl"
     gateway = ServingGateway(
         [BigML(random_state=0)], access_log=AccessLog(log_path)
     )
     server, thread = serve_background(gateway)
     try:
-        client = HTTPPlatformClient(server.url, "bigml",
-                                    client_id="traced")
+        client = make_client(server.url, client_id="traced")
         dataset_id = client.upload_dataset(X, Y)
         client.delete_dataset(dataset_id)
     finally:
@@ -141,14 +157,14 @@ def test_request_ids_propagate_from_client_to_access_log(tmp_path):
     assert entries[0]["path"] == "/platforms/bigml/datasets"
 
 
-def test_max_requests_budget_shuts_the_server_down():
+def test_max_requests_budget_shuts_the_server_down(make_client):
     gateway = ServingGateway([BigML(random_state=0)])
     server = PlatformHTTPServer(gateway, max_requests=3)
     import threading
 
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    client = HTTPPlatformClient(server.url, "bigml")
+    client = make_client(server.url)
     for _ in range(3):
         assert client.health()["status"] == "ok"
     thread.join(timeout=10)
