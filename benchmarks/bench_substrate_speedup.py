@@ -3,9 +3,13 @@
 Measures the optimized tree substrate (presorted split search, compiled
 flat-array prediction, fold hoisting and fit memoization in grid search)
 against reference implementations of the seed algorithms
-(:mod:`benchmarks.substrate_reference`), on three scenarios:
+(:mod:`benchmarks.substrate_reference`), on five scenarios:
 
 * ``tree_fit`` — growing a single deep decision tree,
+* ``boosting_fit`` — gradient boosting, whose residual trees grow on the
+  presorted engine under the variance criterion,
+* ``jungle_fit`` — a decision jungle, whose level nodes take their
+  sorted lists from one presort per DAG,
 * ``forest_predict`` — random-forest ``predict_proba`` on a wide batch,
 * ``grid_sweep`` — the tree-heavy hyper-parameter sweep the paper's
   methodology runs per dataset: grid search over a
@@ -13,7 +17,8 @@ against reference implementations of the seed algorithms
 
 Every scenario asserts the optimized path produces **bit-identical**
 predictions before timing counts; speed without equality is a bug, not
-a result.  Timings and speedups are written to ``BENCH_substrate.json``.
+a result.  Timings, speedups and the host (cores, Python, numpy) are
+written to ``BENCH_substrate.json``.
 
 Usage::
 
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -34,19 +41,25 @@ import numpy as np
 
 try:
     from benchmarks.substrate_reference import (
+        ReferenceDecisionJungle,
         ReferenceDecisionTree,
+        ReferenceGradientBoosting,
         ReferenceRandomForest,
         reference_grid_search,
     )
 except ImportError:  # running as a script: benchmarks/ itself is sys.path[0]
     from substrate_reference import (
+        ReferenceDecisionJungle,
         ReferenceDecisionTree,
+        ReferenceGradientBoosting,
         ReferenceRandomForest,
         reference_grid_search,
     )
 
 from repro.learn import (
+    DecisionJungleClassifier,
     DecisionTreeClassifier,
+    GradientBoostingClassifier,
     GridSearchCV,
     Pipeline,
     RandomForestClassifier,
@@ -65,10 +78,12 @@ QUICK_SWEEP_FLOOR = 1.2
 SIZES = {
     "quick": {"n_samples": 400, "n_features": 12, "tree_depth": 10,
               "n_trees": 15, "predict_rows": 120, "grid_depths": [3, 6, 9],
-              "grid_ks": [6, 12], "cv": 3, "repeats": 1},
+              "grid_ks": [6, 12], "cv": 3, "boost_rounds": 10,
+              "jungle_dags": 4, "repeats": 1},
     "full": {"n_samples": 2000, "n_features": 24, "tree_depth": 14,
              "n_trees": 40, "predict_rows": 600, "grid_depths": [4, 8, 12, 16],
-             "grid_ks": [8, 16, 24], "cv": 5, "repeats": 3},
+             "grid_ks": [8, 16, 24], "cv": 5, "boost_rounds": 50,
+             "jungle_dags": 8, "repeats": 3},
 }
 
 
@@ -106,6 +121,39 @@ def scenario_tree_fit(size: dict) -> dict:
     assert identical, "presorted tree predictions diverged from seed"
     return {"baseline_s": t_base, "optimized_s": t_opt,
             "speedup": t_base / t_opt, "bit_identical": identical}
+
+
+def _fit_scenario(size: dict, seed: int, baseline, optimized) -> dict:
+    """Time two fits of one estimator pair; their outputs must match bytes."""
+    X, y = make_dataset(size["n_samples"], size["n_features"], seed=seed)
+    X_query = make_dataset(size["predict_rows"], size["n_features"],
+                           seed=seed + 100)[0]
+    baseline.fit(X, y)
+    optimized.fit(X, y)
+    identical = bool(
+        baseline.predict_proba(X_query).tobytes()
+        == optimized.predict_proba(X_query).tobytes()
+    )
+    assert identical, f"{type(optimized).__name__} diverged from seed"
+    t_base = _best_time(lambda: baseline.fit(X, y), size["repeats"])
+    t_opt = _best_time(lambda: optimized.fit(X, y), size["repeats"])
+    return {"baseline_s": t_base, "optimized_s": t_opt,
+            "speedup": t_base / t_opt, "bit_identical": identical}
+
+
+def scenario_boosting_fit(size: dict) -> dict:
+    """Gradient boosting: per-node re-sorted variance search vs presort."""
+    kwargs = dict(n_estimators=size["boost_rounds"], max_depth=3,
+                  subsample=0.8, random_state=0)
+    return _fit_scenario(size, 5, ReferenceGradientBoosting(**kwargs),
+                         GradientBoostingClassifier(**kwargs))
+
+
+def scenario_jungle_fit(size: dict) -> dict:
+    """Decision jungle: per-node re-sort vs one presort per DAG."""
+    kwargs = dict(n_dags=size["jungle_dags"], random_state=0)
+    return _fit_scenario(size, 6, ReferenceDecisionJungle(**kwargs),
+                         DecisionJungleClassifier(**kwargs))
 
 
 def scenario_forest_predict(size: dict) -> dict:
@@ -178,6 +226,8 @@ def scenario_grid_sweep(size: dict) -> dict:
 
 SCENARIOS = {
     "tree_fit": scenario_tree_fit,
+    "boosting_fit": scenario_boosting_fit,
+    "jungle_fit": scenario_jungle_fit,
     "forest_predict": scenario_forest_predict,
     "grid_sweep": scenario_grid_sweep,
 }
@@ -186,7 +236,9 @@ SCENARIOS = {
 def run_bench(mode: str = "quick") -> dict:
     """Run every scenario at ``mode`` scale; return the report dict."""
     size = SIZES[mode]
-    report = {"mode": mode, "sizes": size, "scenarios": {}}
+    host = {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine()}
+    report = {"mode": mode, "host": host, "sizes": size, "scenarios": {}}
     for name, scenario in SCENARIOS.items():
         report["scenarios"][name] = scenario(size)
     floor = FULL_SWEEP_FLOOR if mode == "full" else QUICK_SWEEP_FLOOR

@@ -14,6 +14,7 @@ from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
 from repro.learn.tree.cart import DecisionTreeClassifier, TreeNode
 from repro.learn.tree.criteria import criterion_function
 from repro.learn.tree.flat import flatten_tree, stack_trees
+from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
 from repro.learn.validation import (
     check_array,
     check_binary_labels,
@@ -28,7 +29,10 @@ class _RegressionTree:
     """Small CART regression tree fitting residuals for gradient boosting.
 
     Leaves store the Newton-step value for logistic loss:
-    ``sum(residual) / sum(p * (1 - p))``.
+    ``sum(residual) / sum(p * (1 - p))``.  Splits come from the presorted
+    engine under the variance criterion.  Each node also carries its
+    members in row order: the node's residual total and its leaf value
+    are pairwise sums, whose last bits depend on the summation order.
     """
 
     def __init__(self, max_depth: int, min_samples_leaf: int,
@@ -39,7 +43,13 @@ class _RegressionTree:
         self.rng = rng
 
     def fit(self, X: np.ndarray, residual: np.ndarray, hessian: np.ndarray) -> None:
-        self.root = self._grow(X, residual, hessian, depth=0)
+        engine = PresortedSplitEngine(
+            X, VarianceCriterion(residual), self.min_samples_leaf
+        )
+        self.root = self._grow(
+            engine, engine.root_state(), np.arange(X.shape[0]), hessian,
+            depth=0,
+        )
         # Leaf values live in positive_fraction, so the classification
         # flattener lowers regression trees unchanged.
         self.flat_ = flatten_tree(self.root)
@@ -50,73 +60,42 @@ class _RegressionTree:
             return 0.0
         return float(residual.sum() / denominator)
 
-    def _grow(self, X, residual, hessian, depth) -> TreeNode:
+    def _grow(self, engine, state, rows, hessian, depth) -> TreeNode:
+        residual = engine.criterion.target[rows]
         node = TreeNode(
-            positive_fraction=self._leaf_value(residual, hessian),
-            n_samples=X.shape[0],
+            positive_fraction=self._leaf_value(residual, hessian[rows]),
+            n_samples=rows.size,
             depth=depth,
         )
-        if depth >= self.max_depth or X.shape[0] < 2 * self.min_samples_leaf:
+        if depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf:
             return node
-        split = self._best_variance_split(X, residual)
+        split = engine.best_split(
+            state, self._candidates(engine.X.shape[1]), residual.sum()
+        )
         if split is None:
             return node
-        feature, threshold = split
-        goes_left = X[:, feature] <= threshold
-        if not goes_left.any() or goes_left.all():
-            return node
+        feature, threshold, split_at = split
+        left_state, right_state = engine.partition(
+            state, feature, threshold, split_at
+        )
+        goes_left = engine.X[rows, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
         node.left = self._grow(
-            X[goes_left], residual[goes_left], hessian[goes_left], depth + 1
+            engine, left_state, rows[goes_left], hessian, depth + 1
         )
         node.right = self._grow(
-            X[~goes_left], residual[~goes_left], hessian[~goes_left], depth + 1
+            engine, right_state, rows[~goes_left], hessian, depth + 1
         )
         return node
 
-    def _best_variance_split(self, X, residual):
-        """Variance-reduction split search, vectorized per feature."""
-        n_samples, n_features = X.shape
+    def _candidates(self, n_features: int) -> np.ndarray:
+        """Features examined at one node (drawn per node when subsampling)."""
         if self.max_features is None:
-            candidates = np.arange(n_features)
-        else:
-            count = max(1, int(np.sqrt(n_features))) if self.max_features == "sqrt" \
-                else min(int(self.max_features), n_features)
-            candidates = self.rng.choice(n_features, size=count, replace=False)
-        best = None
-        best_score = -np.inf
-        total_sum = residual.sum()
-        for feature in candidates:
-            order = np.argsort(X[:, feature], kind="stable")
-            sorted_values = X[order, feature]
-            sorted_residual = residual[order]
-            distinct = sorted_values[1:] != sorted_values[:-1]
-            if not distinct.any():
-                continue
-            positions = np.flatnonzero(distinct) + 1
-            positions = positions[
-                (positions >= self.min_samples_leaf)
-                & (positions <= n_samples - self.min_samples_leaf)
-            ]
-            if positions.size == 0:
-                continue
-            cumulative = np.cumsum(sorted_residual)
-            left_sum = cumulative[positions - 1]
-            right_sum = total_sum - left_sum
-            left_n = positions.astype(np.float64)
-            right_n = n_samples - left_n
-            # Maximizing sum^2/n on both sides == minimizing squared error.
-            scores = left_sum**2 / left_n + right_sum**2 / right_n
-            local_best = int(np.argmax(scores))
-            if scores[local_best] > best_score:
-                split_at = positions[local_best]
-                threshold = 0.5 * (sorted_values[split_at - 1] + sorted_values[split_at])
-                if threshold >= sorted_values[split_at]:
-                    threshold = sorted_values[split_at - 1]
-                best_score = float(scores[local_best])
-                best = (int(feature), float(threshold))
-        return best
+            return np.arange(n_features)
+        count = max(1, int(np.sqrt(n_features))) if self.max_features == "sqrt" \
+            else min(int(self.max_features), n_features)
+        return self.rng.choice(n_features, size=count, replace=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.flat_.predict_value(X)

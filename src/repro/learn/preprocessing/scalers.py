@@ -44,7 +44,13 @@ class StandardScaler(BaseEstimator, TransformerMixin):
             self.mean_[constant] = X[0, constant]
         if self.with_std:
             std = X.std(axis=0)
-            std[(std == 0.0) | constant] = 1.0
+            # A spread within the rounding error of the mean (adjacent
+            # doubles, say) is not scaled up: that error would become an
+            # O(1) offset in the centred output.
+            negligible = std <= X.shape[0] * np.finfo(np.float64).eps * np.abs(
+                self.mean_
+            )
+            std[negligible | constant] = 1.0
             self.scale_ = std
         else:
             self.scale_ = np.ones(X.shape[1])

@@ -15,6 +15,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, check_is_fitted
 from repro.learn.tree.cart import TreeNode
+from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
 from repro.learn.validation import check_array, check_random_state, check_X_y
 
 __all__ = [
@@ -167,7 +168,7 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
         self._rng = check_random_state(self.random_state)
-        self.tree_ = self._grow(X, y, depth=0)
+        self.tree_ = self._build_tree(X, y)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -180,7 +181,16 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
             count = min(int(self.max_features), n_features)
         return self._rng.choice(n_features, size=count, replace=False)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
+    def _build_tree(self, X: np.ndarray, y: np.ndarray) -> TreeNode:
+        """Grow on the presorted engine under the variance criterion."""
+        engine = PresortedSplitEngine(
+            X, VarianceCriterion(y), self.min_samples_leaf
+        )
+        return self._grow(engine, engine.root_state(), np.arange(y.size), 0)
+
+    def _grow(self, engine, state, rows: np.ndarray, depth: int) -> TreeNode:
+        # Node sums run over row-ordered members (pairwise summation).
+        y = engine.criterion.target[rows]
         node = TreeNode(
             positive_fraction=float(y.mean()),  # reused as the leaf value
             n_samples=y.shape[0],
@@ -192,53 +202,21 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
             or np.all(y == y[0])
         ):
             return node
-        split = self._best_split(X, y)
+        split = engine.best_split(
+            state, self._candidate_features(engine.X.shape[1]), y.sum()
+        )
         if split is None:
             return node
-        feature, threshold = split
-        goes_left = X[:, feature] <= threshold
-        if not goes_left.any() or goes_left.all():
-            return node
+        feature, threshold, split_at = split
+        left_state, right_state = engine.partition(
+            state, feature, threshold, split_at
+        )
+        goes_left = engine.X[rows, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(X[goes_left], y[goes_left], depth + 1)
-        node.right = self._grow(X[~goes_left], y[~goes_left], depth + 1)
+        node.left = self._grow(engine, left_state, rows[goes_left], depth + 1)
+        node.right = self._grow(engine, right_state, rows[~goes_left], depth + 1)
         return node
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray):
-        n_samples = X.shape[0]
-        total_sum = y.sum()
-        best = None
-        best_score = -np.inf
-        for feature in self._candidate_features(X.shape[1]):
-            order = np.argsort(X[:, feature], kind="stable")
-            sorted_values = X[order, feature]
-            sorted_y = y[order]
-            distinct = sorted_values[1:] != sorted_values[:-1]
-            if not distinct.any():
-                continue
-            positions = np.flatnonzero(distinct) + 1
-            positions = positions[
-                (positions >= self.min_samples_leaf)
-                & (positions <= n_samples - self.min_samples_leaf)
-            ]
-            if positions.size == 0:
-                continue
-            cumulative = np.cumsum(sorted_y)
-            left_sum = cumulative[positions - 1]
-            right_sum = total_sum - left_sum
-            left_n = positions.astype(np.float64)
-            right_n = n_samples - left_n
-            scores = left_sum**2 / left_n + right_sum**2 / right_n
-            local = int(np.argmax(scores))
-            if scores[local] > best_score:
-                split_at = positions[local]
-                threshold = 0.5 * (sorted_values[split_at - 1] + sorted_values[split_at])
-                if threshold >= sorted_values[split_at]:
-                    threshold = sorted_values[split_at - 1]
-                best_score = float(scores[local])
-                best = (int(feature), float(threshold))
-        return best
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")

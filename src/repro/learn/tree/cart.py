@@ -22,7 +22,7 @@ from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
 from repro.learn.tree.criteria import criterion_function
 from repro.learn.tree.flat import flatten_tree
-from repro.learn.tree.splitter import make_split_engine, scan_sorted_feature
+from repro.learn.tree.splitter import make_split_engine
 from repro.learn.validation import (
     check_array,
     check_binary_labels,
@@ -30,7 +30,7 @@ from repro.learn.validation import (
     check_X_y,
 )
 
-__all__ = ["DecisionTreeClassifier", "TreeNode", "find_best_split"]
+__all__ = ["DecisionTreeClassifier", "TreeNode"]
 
 
 @dataclass
@@ -85,40 +85,6 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     if count < 1:
         raise ValidationError(f"max_features must be >= 1, got {count}")
     return min(count, n_features)
-
-
-def find_best_split(
-    X: np.ndarray,
-    y01: np.ndarray,
-    feature_indices: np.ndarray,
-    impurity_fn,
-    min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Find the (feature, threshold) with the largest impurity decrease.
-
-    Returns ``(feature, threshold, gain)`` or ``None`` when no valid split
-    exists.  ``y01`` must be 0/1 floats.  This is the exact-mode search:
-    every distinct value boundary is a candidate threshold.
-    """
-    parent_impurity = float(impurity_fn(y01.mean()))
-    if parent_impurity == 0.0:
-        return None
-    best = None
-    # Zero-gain splits are accepted (classic CART grows to purity; XOR is
-    # unlearnable otherwise) — recursion still terminates because children
-    # are strictly smaller.
-    best_gain = -1e-12
-    for feature in feature_indices:
-        values = X[:, feature]
-        order = np.argsort(values, kind="stable")
-        found = scan_sorted_feature(
-            values[order], y01[order], impurity_fn, min_samples_leaf,
-            parent_impurity, best_gain,
-        )
-        if found is not None:
-            best_gain, threshold, _ = found
-            best = (int(feature), threshold, best_gain)
-    return best
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):

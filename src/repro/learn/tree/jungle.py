@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
-from repro.learn.tree.cart import find_best_split
 from repro.learn.tree.criteria import criterion_function
+from repro.learn.tree.splitter import ImpurityCriterion, PresortedSplitEngine
 from repro.learn.validation import (
     check_array,
     check_binary_labels,
@@ -60,6 +60,12 @@ class _DecisionDAG:
 
     def fit(self, X: np.ndarray, y01: np.ndarray) -> None:
         n_samples = X.shape[0]
+        # Presorted once per DAG; each level node's sorted lists are
+        # masked out of the root order (merged nodes are unions of
+        # slots, so they cannot be partitioned out of one parent).
+        engine = PresortedSplitEngine(
+            X, ImpurityCriterion(y01, self.impurity_fn), min_samples_leaf=1
+        )
         assignments = np.zeros(n_samples, dtype=np.intp)  # node index at level
         self.levels = [[_DagLevelNode(
             positive_fraction=float(y01.mean()), n_samples=n_samples
@@ -76,10 +82,8 @@ class _DecisionDAG:
                     node.positive_fraction = float(y01[members].mean())
                 split = None
                 if members.size >= 2 and 0.0 < node.positive_fraction < 1.0:
-                    split = find_best_split(
-                        X[members], y01[members],
-                        np.arange(X.shape[1]), self.impurity_fn,
-                        min_samples_leaf=1,
+                    split = self._propose_split(
+                        engine, members, node.positive_fraction
                     )
                 if split is None:
                     tentative.append((-1, 0.0))
@@ -135,6 +139,16 @@ class _DecisionDAG:
             self.levels.append(new_level)
             if not routed.any():
                 break
+
+    def _propose_split(
+        self, engine: PresortedSplitEngine, members: np.ndarray,
+        positive_fraction: float,
+    ) -> tuple[int, float, int] | None:
+        """Best ``(feature, threshold, split_at)`` for one level node."""
+        return engine.best_split(
+            engine.node_state(members), np.arange(engine.X.shape[1]),
+            float(self.impurity_fn(positive_fraction)),
+        )
 
     def _merge_slots(
         self,

@@ -1,4 +1,4 @@
-"""Split-search engines for CART growing: presorted exact and histogram.
+"""Split-search engines for tree growing: presorted exact and histogram.
 
 The seed implementation re-sorted every candidate feature at every node,
 making tree growth ``O(nodes * features * n log n)``.  The engines here
@@ -9,11 +9,16 @@ mode:
     Sorts each feature **once per tree** and partitions the per-feature
     sorted index lists down the recursion.  A stable partition of a
     stably-sorted list is itself stably sorted, so every node sees
-    exactly the (values, labels) sequences the seed implementation
+    exactly the (values, targets) sequences the seed implementation
     produced by re-sorting — splits, thresholds, and tie-breaking are
     bit-for-bit identical while the per-node ``argsort`` disappears.
+    It is the one exact split search of every tree learner: a *split
+    criterion* says what a split is worth — :class:`ImpurityCriterion`
+    for classification trees (CART, forests, bagging, the decision
+    jungle) and :class:`VarianceCriterion` for regression trees
+    (gradient boosting's residual trees, ``DecisionTreeRegressor``).
 
-``HistogramSplitEngine`` (opt-in, ``splitter="hist"``)
+``HistogramSplitEngine`` (opt-in, ``splitter="hist"``, classification)
     LightGBM-style binned split finding (Ke et al., NeurIPS 2017): each
     feature is quantile-binned once per fit and candidate thresholds are
     bin upper edges, so a node's split search is one ``bincount`` per
@@ -39,10 +44,11 @@ from repro.exceptions import ValidationError
 _COMPILED_SUBSTRATE = True  # repro: disable=F104 -- read by repro perf's P306 rule from the AST, not through imports
 
 __all__ = [
+    "ImpurityCriterion",
+    "VarianceCriterion",
     "PresortedSplitEngine",
     "HistogramSplitEngine",
     "make_split_engine",
-    "scan_sorted_feature",
 ]
 
 #: Gain threshold accepting zero-gain splits (classic CART grows to
@@ -51,54 +57,54 @@ __all__ = [
 _GAIN_FLOOR = -1e-12
 
 
-def scan_sorted_feature(
-    sorted_values: np.ndarray,
-    sorted_y: np.ndarray,
-    impurity_fn,
-    min_samples_leaf: int,
-    parent_impurity: float,
-    best_gain: float,
-) -> tuple[float, float, int] | None:
-    """Best threshold of one presorted feature, if it beats ``best_gain``.
+class ImpurityCriterion:
+    """Classification: parent impurity minus weighted child impurity.
 
-    ``sorted_values`` / ``sorted_y`` are the node's feature values and
-    0/1 labels in ascending feature order.  Returns ``(gain, threshold,
-    split_at)`` — ``split_at`` is the left-child size in sorted order —
-    or ``None`` when no candidate position improves on ``best_gain``.
+    The cumulative statistic is the 0/1 label; the parent statistic
+    handed to ``best_split`` is the node's impurity.
     """
-    n_samples = sorted_y.shape[0]
-    # Candidate split positions: between distinct consecutive values.
-    distinct = sorted_values[1:] != sorted_values[:-1]
-    if not distinct.any():
-        return None
-    positions = np.flatnonzero(distinct) + 1  # left side sizes
-    if min_samples_leaf > 1:
-        positions = positions[
-            (positions >= min_samples_leaf)
-            & (positions <= n_samples - min_samples_leaf)
-        ]
-        if positions.size == 0:
-            return None
-    cum_pos = np.cumsum(sorted_y)
-    left_count = positions.astype(np.float64)
-    right_count = n_samples - left_count
-    left_positive = cum_pos[positions - 1]
-    right_positive = cum_pos[-1] - left_positive
-    left_impurity = impurity_fn(left_positive / left_count)
-    right_impurity = impurity_fn(right_positive / right_count)
-    weighted = (
-        left_count * left_impurity + right_count * right_impurity
-    ) / n_samples
-    gains = parent_impurity - weighted
-    best_local = int(np.argmax(gains))
-    if not gains[best_local] > best_gain:
-        return None
-    split_at = int(positions[best_local])
-    threshold = 0.5 * (sorted_values[split_at - 1] + sorted_values[split_at])
-    # Guard against midpoints rounding onto the right value.
-    if threshold >= sorted_values[split_at]:
-        threshold = sorted_values[split_at - 1]
-    return float(gains[best_local]), float(threshold), split_at
+
+    def __init__(self, y01: np.ndarray, impurity_fn):
+        self.target = y01
+        self.impurity_fn = impurity_fn
+
+    def gains(self, cumulative, left_count, right_count, n_node, parent):
+        """Gain of every split position from cumulative label sums."""
+        left = cumulative[:, :-1]
+        right = cumulative[:, -1:] - left  # 0/1 sums: exact integers
+        weighted = (
+            left_count * self.impurity_fn(left / left_count)
+            + right_count * self.impurity_fn(right / right_count)
+        ) / n_node
+        return parent - weighted
+
+    def accepts(self, gain: float, parent: float) -> bool:
+        """A pure node has nothing to gain; others need ``_GAIN_FLOOR``."""
+        return parent > 0.0 and gain > _GAIN_FLOOR
+
+
+class VarianceCriterion:
+    """Regression: ``L**2 / nL + R**2 / nR`` over the target sums.
+
+    Maximizing it minimizes the children's squared error.  The parent
+    statistic is the node's target total, which the grower sums over
+    the node's members in their original row order: ``ndarray.sum`` is
+    pairwise, so any other order (feature 0's, say) changes the last
+    bits.
+    """
+
+    def __init__(self, target: np.ndarray):
+        self.target = target
+
+    def gains(self, cumulative, left_count, right_count, n_node, parent):
+        """Score of every split position from cumulative target sums."""
+        left = cumulative[:, :-1]
+        right = parent - left
+        return left**2 / left_count + right**2 / right_count
+
+    def accepts(self, gain: float, parent: float) -> bool:
+        """No floor: the best valid position wins."""
+        return True
 
 
 class PresortedSplitEngine:
@@ -110,17 +116,16 @@ class PresortedSplitEngine:
     sort of the node's subarray).
     """
 
-    def __init__(self, X: np.ndarray, y01: np.ndarray,
-                 impurity_fn, min_samples_leaf: int):
+    def __init__(self, X: np.ndarray, criterion, min_samples_leaf: int):
         self.X = X
-        self.y01 = y01
-        self.impurity_fn = impurity_fn
+        self.criterion = criterion
         self.min_samples_leaf = min_samples_leaf
         # One stable sort per feature for the whole tree.
         self._root_order = np.ascontiguousarray(
             np.argsort(X, axis=0, kind="stable").T
         )
-        # Scratch buffer reused by partition() to split index lists.
+        self._all_features = np.arange(X.shape[1])
+        # Scratch buffer reused to select index lists by membership.
         self._mask = np.zeros(X.shape[0], dtype=bool)
         # Left-child sizes 1..n as floats; nodes slice views off it.
         self._counts = np.arange(1.0, X.shape[0] + 1.0)
@@ -129,32 +134,49 @@ class PresortedSplitEngine:
         """State covering every training sample."""
         return self._root_order
 
+    def node_state(self, rows: np.ndarray) -> np.ndarray:
+        """State of an arbitrary set of distinct sample indices.
+
+        Masking the root order keeps each feature's list in its stable
+        sorted order, so the result equals re-sorting the members.  Use
+        it where a node is not one side of a split (a merged DAG node).
+        """
+        mask = self._mask
+        mask[rows] = True
+        take = mask[self._root_order]
+        mask[rows] = False
+        return self._root_order[take].reshape(len(self._root_order), rows.size)
+
     def node_stats(self, state: np.ndarray) -> tuple[int, float]:
-        """``(n_samples, positive_fraction)`` of the node."""
+        """``(n_samples, positive_fraction)`` of a classification node.
+
+        The 0/1 label sum is exact in any order; regression growers sum
+        their targets over row-ordered members instead.
+        """
         n_node = state.shape[1]
-        positives = self.y01[state[0]].sum()  # 0/1 sum: exact integer
+        positives = self.criterion.target[state[0]].sum()
         return n_node, float(positives / n_node)
 
     def best_split(
-        self, state: np.ndarray, feature_indices: np.ndarray,
-        parent_impurity: float,
+        self, state: np.ndarray, feature_indices: np.ndarray, parent,
     ) -> tuple[int, float, int] | None:
         """Best ``(feature, threshold, split_at)`` over candidate features.
 
-        All candidate features are scanned as one ``(features, n)``
-        matrix — cumulative label sums, impurities, and gains are
-        computed in a handful of vectorized passes instead of one
-        Python-level scan per feature.  Selection order matches the
-        sequential scan exactly: ``argmax`` over the gain matrix in row-
-        major order returns the first feature (in ``feature_indices``
-        order) attaining the maximum gain, at its first-best position.
+        ``parent`` is the criterion's parent statistic.  All candidate
+        features are scanned as one ``(features, n)`` matrix —
+        cumulative target sums and scores are computed in a handful of
+        vectorized passes instead of one Python-level scan per feature.
+        Selection order matches the sequential scan exactly: ``argmax``
+        over the score matrix in row-major order returns the first
+        feature (in ``feature_indices`` order) attaining the maximum, at
+        its first-best position.
         """
         n_node = state.shape[1]
         if n_node < 2:
             return None
         features = np.asarray(feature_indices)
-        if features.shape[0] == state.shape[0]:
-            orders = state  # all features are candidates: no row gather
+        if np.array_equal(features, self._all_features):
+            orders = state  # every feature, in index order: no row gather
         else:
             orders = state[features]
         values = self.X[orders, features[:, None]]
@@ -170,19 +192,14 @@ class PresortedSplitEngine:
             valid = distinct & inside
             if not valid.any():
                 return None
-        cum_positive = np.cumsum(self.y01[orders], axis=1)
-        left_positive = cum_positive[:, :-1]
-        right_positive = cum_positive[:, -1:] - left_positive
-        right_count = n_node - left_count
-        weighted = (
-            left_count * self.impurity_fn(left_positive / left_count)
-            + right_count * self.impurity_fn(right_positive / right_count)
-        ) / n_node
-        gains = parent_impurity - weighted
+        cumulative = np.cumsum(self.criterion.target[orders], axis=1)
+        gains = self.criterion.gains(
+            cumulative, left_count, n_node - left_count, n_node, parent
+        )
         gains[~valid] = -np.inf
         flat_best = int(np.argmax(gains))
         row, position = divmod(flat_best, n_node - 1)
-        if not gains[row, position] > _GAIN_FLOOR:
+        if not self.criterion.accepts(gains[row, position], parent):
             return None
         split_at = position + 1
         sorted_values = values[row]
@@ -334,7 +351,9 @@ def make_split_engine(
 ):
     """Construct the split engine named by ``splitter``."""
     if splitter == "exact":
-        return PresortedSplitEngine(X, y01, impurity_fn, min_samples_leaf)
+        return PresortedSplitEngine(
+            X, ImpurityCriterion(y01, impurity_fn), min_samples_leaf
+        )
     if splitter == "hist":
         return HistogramSplitEngine(
             X, y01, impurity_fn, min_samples_leaf, max_bins

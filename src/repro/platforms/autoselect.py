@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, ValidationError
 from repro.learn.base import BaseEstimator, clone
 from repro.learn.metrics import f_score
 from repro.learn.model_selection import StratifiedKFold
@@ -93,8 +93,14 @@ class AutoClassifierSelector:
         return np.array(sorted(chosen), dtype=int)
 
     def _cv_score(self, estimator: BaseEstimator, X, y, rng) -> float:
+        classes = np.unique(y)
+        if classes.size < 2:
+            raise ValidationError(
+                "automatic classifier selection needs both classes in the "
+                f"training data, got only {classes.tolist()}"
+            )
         n_folds = min(self.n_folds, int(np.min(np.bincount(
-            (y == np.unique(y)[1]).astype(int)
+            (y == classes[1]).astype(int)
         ))))
         if n_folds < 2:
             # Degenerate probe: fall back to training-fit comparison.

@@ -30,6 +30,14 @@ class TestStandardScaler:
         assert np.all(np.isfinite(Z))
         assert np.allclose(Z[:, 1], 0.0)
 
+    def test_rounding_level_spread_is_not_scaled_up(self):
+        # Adjacent doubles: their mean is not representable, so scaling
+        # by their tiny std would leave the output off-centre by ~0.7.
+        X = np.array([[np.nextafter(1e6, 0.0)], [1e6]])
+        Z = StandardScaler().fit_transform(X)
+        assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-6)
+        assert np.allclose(Z, 0.0, atol=1e-6)
+
     def test_transform_uses_training_statistics(self):
         scaler = StandardScaler().fit(np.array([[0.0], [2.0]]))
         assert scaler.transform(np.array([[4.0]]))[0, 0] == pytest.approx(3.0)

@@ -1,7 +1,9 @@
 """Equivalence of the fast tree substrate with the seed algorithms.
 
-The presorted split engine, compiled flat trees, and the memoizing
-parallel grid search are pure wall-clock optimizations: every test here
+The presorted split engine (under both criteria: CART, gradient
+boosting, the decision jungle and the regression tree all grow on it),
+compiled flat trees, and the memoizing parallel grid search are pure
+wall-clock optimizations: every test here
 asserts **bit-for-bit** equality against reference implementations of
 the seed algorithms (``benchmarks/substrate_reference.py``), not
 tolerance-based closeness.
@@ -11,14 +13,20 @@ import numpy as np
 import pytest
 
 from benchmarks.substrate_reference import (
+    ReferenceDecisionJungle,
     ReferenceDecisionTree,
+    ReferenceDecisionTreeRegressor,
+    ReferenceGradientBoosting,
     ReferenceRandomForest,
     node_route,
     reference_grid_search,
 )
 from repro.exceptions import ValidationError
 from repro.learn import (
+    DecisionJungleClassifier,
     DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    GradientBoostingClassifier,
     GridSearchCV,
     Pipeline,
     RandomForestClassifier,
@@ -93,6 +101,89 @@ class TestPresortedTreeEquivalence:
         flat = tree.flat_tree_.predict_value(X_query)
         walked = node_route(tree.tree_, X_query)
         assert np.array_equal(flat, walked)
+
+
+def make_tied_problem(seed, n_samples=150):
+    """Rounded (heavily tied) features plus one constant column."""
+    X, y = make_problem(seed, n_samples=n_samples, n_features=6)
+    X = np.round(X, 1)
+    X[:, 3] = 2.5
+    # Adjacent doubles: some midpoints round onto the right value.
+    X[:, 4] = 1.0 + np.finfo(float).eps * np.digitize(X[:, 0], [-0.5, 0.0, 0.5])
+    return X, y
+
+
+class TestGradientBoostingEquivalence:
+    # max_features=6 draws a permutation of all six features.
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 2, 6])
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 10, 50])
+    def test_bit_identical_to_seed(self, max_features, subsample,
+                                   min_samples_leaf):
+        # Node totals and Newton leaves must be summed in row order, and
+        # rng.choice drawn at the seed's preorder positions.
+        kwargs = dict(n_estimators=6, max_depth=4, max_features=max_features,
+                      subsample=subsample, min_samples_leaf=min_samples_leaf,
+                      random_state=3)
+        X_query = make_problem(20, n_samples=200, n_features=6)[0]
+        for data_seed in (21, 22, 23):
+            X, y = make_tied_problem(data_seed)
+            fast = GradientBoostingClassifier(**kwargs).fit(X, y)
+            seed = ReferenceGradientBoosting(**kwargs).fit(X, y)
+            assert (fast.decision_function(X_query).tobytes()
+                    == seed.decision_function(X_query).tobytes())
+            assert (fast.predict_proba(X_query).tobytes()
+                    == seed.predict_proba(X_query).tobytes())
+            for tree, seed_tree in zip(fast.trees_, seed.trees_):
+                assert tree.root == seed_tree.root
+
+    def test_unsplittable_nodes_stay_leaves(self):
+        # Every column constant: no split position exists anywhere.
+        X = np.full((40, 3), 1.5)
+        y = np.arange(40) % 2
+        fast = GradientBoostingClassifier(n_estimators=3,
+                                          random_state=0).fit(X, y)
+        seed = ReferenceGradientBoosting(n_estimators=3,
+                                         random_state=0).fit(X, y)
+        for tree, seed_tree in zip(fast.trees_, seed.trees_):
+            assert tree.root.is_leaf
+            assert tree.root == seed_tree.root
+        assert (fast.decision_function(X).tobytes()
+                == seed.decision_function(X).tobytes())
+
+
+class TestDecisionJungleEquivalence:
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_width", [1, 4, 16])
+    def test_bit_identical_to_seed(self, bootstrap, max_width):
+        # Merged level nodes get their sorted lists by masking the
+        # DAG's root order, not by partitioning one parent.
+        X, y = make_tied_problem(31)
+        kwargs = dict(n_dags=4, max_depth=6, max_width=max_width,
+                      bootstrap=bootstrap, random_state=5)
+        fast = DecisionJungleClassifier(**kwargs).fit(X, y)
+        seed = ReferenceDecisionJungle(**kwargs).fit(X, y)
+        X_query = make_problem(32, n_samples=200, n_features=6)[0]
+        assert (fast.predict_proba(X_query).tobytes()
+                == seed.predict_proba(X_query).tobytes())
+        for dag, seed_dag in zip(fast.dags_, seed.dags_):
+            assert dag.levels == seed_dag.levels
+
+
+class TestRegressionTreeEquivalence:
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 5])
+    def test_bit_identical_to_seed(self, max_features, min_samples_leaf):
+        X, _ = make_tied_problem(41)
+        target = X[:, 0] ** 2 - X[:, 1] + np.random.default_rng(41).normal(
+            size=X.shape[0]
+        )
+        kwargs = dict(max_depth=7, max_features=max_features,
+                      min_samples_leaf=min_samples_leaf, random_state=2)
+        fast = DecisionTreeRegressor(**kwargs).fit(X, target)
+        seed = ReferenceDecisionTreeRegressor(**kwargs).fit(X, target)
+        assert fast.predict(X).tobytes() == seed.predict(X).tobytes()
+        assert fast.tree_ == seed.tree_
 
 
 class TestFlatForestEquivalence:

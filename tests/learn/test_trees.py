@@ -10,8 +10,8 @@ from repro.learn.tree import (
     entropy_impurity,
     gini_impurity,
 )
-from repro.learn.tree.cart import find_best_split
 from repro.learn.tree.criteria import criterion_function
+from repro.learn.tree.splitter import ImpurityCriterion, PresortedSplitEngine
 
 
 class TestCriteria:
@@ -35,7 +35,31 @@ class TestCriteria:
             criterion_function("misclassification")
 
 
+def find_best_split(X, y01, feature_indices, impurity_fn, min_samples_leaf):
+    """Root split of the presorted engine as ``(feature, threshold, gain)``.
+
+    The engine returns the left-child size; the gain is read back from
+    the criterion at that position.
+    """
+    criterion = ImpurityCriterion(y01, impurity_fn)
+    engine = PresortedSplitEngine(X, criterion, min_samples_leaf)
+    state = engine.root_state()
+    n_node, positive_fraction = engine.node_stats(state)
+    parent = float(impurity_fn(positive_fraction))
+    split = engine.best_split(state, feature_indices, parent)
+    if split is None:
+        return None
+    feature, threshold, split_at = split
+    cumulative = np.cumsum(y01[state[feature]])[None, :]
+    left_count = np.arange(1.0, n_node)
+    gains = criterion.gains(cumulative, left_count, n_node - left_count,
+                            n_node, parent)
+    return feature, threshold, float(gains[0, split_at - 1])
+
+
 class TestFindBestSplit:
+    """The presorted engine's split search on hand-checkable nodes."""
+
     def test_finds_obvious_threshold(self):
         X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
         y01 = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])

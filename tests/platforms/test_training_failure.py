@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import JobFailedError, ValidationError
 from repro.learn.linear import LogisticRegression
-from repro.platforms import Google
+from repro.platforms import ABM, Amazon, Google
 from repro.platforms.base import JobState, TrainingFailure
 
 
@@ -119,3 +119,21 @@ def test_numerical_breakdown_fails_the_job(data, monkeypatch):
     failure = platform.get_model(model_id).failure_reason
     assert failure.kind == "LinAlgError"
     assert "singular" in failure
+
+
+@pytest.mark.parametrize("platform_class", [Google, ABM, Amazon])
+def test_single_class_training_data_fails_the_black_box_job(
+    data, platform_class
+):
+    # Automatic classifier selection cannot cross-validate one class:
+    # the job FAILs with a ValidationError instead of raising IndexError
+    # out of create_model.
+    X, _ = data
+    platform = platform_class()
+    dataset_id = platform.upload_dataset(X, np.zeros(X.shape[0], dtype=int))
+    model_id = platform.create_model(dataset_id)
+    handle = platform.get_model(model_id)
+    assert handle.state is JobState.FAILED
+    assert handle.failure_reason.stage == "assemble"
+    assert handle.failure_reason.kind == "ValidationError"
+    assert "both classes" in handle.failure_reason
