@@ -29,6 +29,7 @@ from repro.learn.tree import DecisionJungleClassifier, DecisionTreeClassifier
 from repro.learn.tree.cart import TreeNode
 from repro.learn.tree.flat import flatten_tree, stack_trees
 from repro.learn.tree.jungle import _DecisionDAG
+from repro.learn.validation import check_array
 
 __all__ = [
     "ReferenceDecisionTree",
@@ -400,10 +401,14 @@ class ReferenceDecisionJungle(DecisionJungleClassifier):
 
 
 class ReferenceDecisionTreeRegressor(DecisionTreeRegressor):
-    """Seed regression tree: recursion over copied subarrays, re-sorted splits."""
+    """Seed regression tree: re-sorted splits, TreeNode stack prediction."""
 
     def _build_tree(self, X, y):
         return self._seed_grow(X, y, depth=0)
+
+    def predict(self, X):
+        """Seed prediction: TreeNode stack routing."""
+        return node_route(self.tree_, check_array(X))
 
     def _seed_grow(self, X, y, depth):
         node = TreeNode(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.analysis.stats import friedman_ranking
 from repro.exceptions import ValidationError
@@ -38,6 +37,8 @@ def wilcoxon_signed_rank(
     (zero differences) are dropped, per the classic procedure; if every
     pair ties the result is ``(0.0, 1.0)``.
     """
+    from scipy.stats import wilcoxon
+
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape:
@@ -48,7 +49,7 @@ def wilcoxon_signed_rank(
     nonzero = differences[differences != 0.0]
     if nonzero.size == 0:
         return 0.0, 1.0
-    result = scipy_stats.wilcoxon(nonzero)
+    result = wilcoxon(nonzero)
     return float(result.statistic), float(result.pvalue)
 
 

@@ -11,7 +11,6 @@ standard test for comparing classifiers over multiple datasets (Demšar
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.exceptions import ValidationError
 
@@ -20,8 +19,10 @@ __all__ = ["friedman_ranking", "friedman_test", "standard_error"]
 
 def _rank_row(values: np.ndarray) -> np.ndarray:
     """Rank one dataset's scores: rank 1 = best, midranks for ties."""
+    from scipy.stats import rankdata
+
     # rankdata ranks ascending; we want descending (higher score = rank 1).
-    return scipy_stats.rankdata(-values, method="average")
+    return rankdata(-values, method="average")
 
 
 def friedman_ranking(scores: dict[str, dict[str, float]]) -> dict[str, float]:
@@ -51,6 +52,8 @@ def friedman_ranking(scores: dict[str, dict[str, float]]) -> dict[str, float]:
 
 def friedman_test(scores: dict[str, dict[str, float]]) -> tuple[float, float]:
     """Friedman chi-square statistic and p-value over complete blocks."""
+    from scipy.stats import friedmanchisquare
+
     competitors = sorted(scores)
     common = set.intersection(*(set(scores[c]) for c in competitors))
     datasets = sorted(common)
@@ -62,7 +65,7 @@ def friedman_test(scores: dict[str, dict[str, float]]) -> tuple[float, float]:
         np.array([scores[competitor][dataset] for dataset in datasets])
         for competitor in competitors
     ]
-    statistic, p_value = scipy_stats.friedmanchisquare(*columns)
+    statistic, p_value = friedmanchisquare(*columns)
     return float(statistic), float(p_value)
 
 

@@ -41,11 +41,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     bootstrap : bool
         Draw a bootstrap resample per tree (``False`` = whole set, Azure's
         "resampling method" knob).
-    splitter : {"exact", "hist"}
-        Split search mode passed to every tree (see
-        :class:`~repro.learn.tree.cart.DecisionTreeClassifier`).
-    max_bins : int
-        Histogram bin budget per feature when ``splitter="hist"``.
     random_state : int, Generator, or None
         Seed for all randomness.
     """
@@ -58,8 +53,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         min_samples_leaf: int = 1,
         max_features="sqrt",
         bootstrap: bool = True,
-        splitter: str = "exact",
-        max_bins: int = 255,
         random_state=None,
     ):
         self.n_estimators = n_estimators
@@ -68,8 +61,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestClassifier":
@@ -88,8 +79,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                splitter=self.splitter,
-                max_bins=self.max_bins,
                 random_state=int(rng.integers(0, 2**31)),
             )
             if self.bootstrap:

@@ -10,7 +10,6 @@ Kendall, Spearman, Chi-squared, Fisher, Count) plus the ANOVA F-test
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.learn.validation import check_X_y
 
@@ -48,7 +47,9 @@ def pearson_score(X, y) -> np.ndarray:
 
 
 def _rankdata_columns(X: np.ndarray) -> np.ndarray:
-    return np.apply_along_axis(stats.rankdata, 0, X)
+    from scipy.stats import rankdata
+
+    return np.apply_along_axis(rankdata, 0, X)
 
 
 def spearman_score(X, y) -> np.ndarray:
@@ -65,6 +66,8 @@ def spearman_score(X, y) -> np.ndarray:
 
 def kendall_score(X, y) -> np.ndarray:
     """Absolute Kendall tau-b per feature (O(n log n) via scipy)."""
+    from scipy.stats import kendalltau
+
     X, y = check_X_y(X, y)
     y01 = _encode_binary(y)
     scores = np.zeros(X.shape[1])
@@ -73,7 +76,7 @@ def kendall_score(X, y) -> np.ndarray:
         column = X[:, j]
         if np.all(column == column[0]):
             continue
-        tau = stats.kendalltau(column, y01).statistic
+        tau = kendalltau(column, y01).statistic
         scores[j] = abs(tau) if np.isfinite(tau) else 0.0
     return scores
 

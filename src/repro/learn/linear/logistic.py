@@ -12,7 +12,6 @@ penalties.  Mirrors Table 1's tunable parameters (penalty, C, solver).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ValidationError
 from repro.learn.linear.base import LinearBinaryClassifier
@@ -91,6 +90,8 @@ class LogisticRegression(LinearBinaryClassifier):
     # -- L-BFGS on the full-batch objective --------------------------------
 
     def _fit_lbfgs(self, X: np.ndarray, y: np.ndarray) -> None:
+        from scipy.optimize import minimize
+
         n_samples, n_features = X.shape
         alpha = 0.0 if self.penalty == "none" else 1.0 / (self.C * n_samples)
 
@@ -110,7 +111,7 @@ class LogisticRegression(LinearBinaryClassifier):
             return loss, grad
 
         size = n_features + (1 if self.fit_intercept else 0)
-        result = optimize.minimize(
+        result = minimize(
             objective,
             np.zeros(size),
             jac=True,

@@ -15,6 +15,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, check_is_fitted
 from repro.learn.tree.cart import TreeNode
+from repro.learn.tree.flat import flatten_tree
 from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
 from repro.learn.validation import check_array, check_random_state, check_X_y
 
@@ -169,6 +170,7 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
             raise ValidationError("max_depth must be >= 1")
         self._rng = check_random_state(self.random_state)
         self.tree_ = self._build_tree(X, y)
+        self.flat_tree_ = flatten_tree(self.tree_)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -226,19 +228,7 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
                 f"model was fitted on {self.n_features_in_} features, "
                 f"got {X.shape[1]}"
             )
-        values = np.empty(X.shape[0])
-        stack = [(self.tree_, np.arange(X.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                values[indices] = node.positive_fraction
-                continue
-            goes_left = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[goes_left]))
-            stack.append((node.right, indices[~goes_left]))
-        return values
+        return self.flat_tree_.predict_value(X)
 
 
 # ---------------------------------------------------------------------------

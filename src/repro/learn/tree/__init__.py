@@ -1,7 +1,7 @@
 """Tree-based classifiers: CART decision trees and Decision Jungles.
 
 Fitted trees are compiled into flat arrays (:mod:`repro.learn.tree.flat`)
-and grown by the split engines in :mod:`repro.learn.tree.splitter`.
+and grown by the split engine in :mod:`repro.learn.tree.splitter`.
 """
 
 from repro.learn.tree.cart import DecisionTreeClassifier

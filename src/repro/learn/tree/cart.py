@@ -1,15 +1,13 @@
 """CART decision tree for binary classification.
 
 Available (with varying knobs) on BigML, PredictionIO, Microsoft and the
-local library (Table 1).  Growing runs on the split engines in
-:mod:`repro.learn.tree.splitter`: the default ``splitter="exact"``
-presorts every feature once per tree and partitions the sorted index
-lists down the recursion (bit-identical splits to re-sorting at every
-node, without the per-node ``argsort``), while the opt-in
-``splitter="hist"`` bins features LightGBM-style for large ``n``.
-Fitted trees are additionally lowered into compiled flat arrays
-(:mod:`repro.learn.tree.flat`) so prediction is a vectorized level-wise
-array walk.
+local library (Table 1).  Growing runs on the presorted split engine in
+:mod:`repro.learn.tree.splitter`, which sorts every feature once per
+tree and partitions the sorted index lists down the recursion
+(bit-identical splits to re-sorting at every node, without the per-node
+``argsort``).  Fitted trees are additionally lowered into compiled flat
+arrays (:mod:`repro.learn.tree.flat`) so prediction is a vectorized
+level-wise array walk.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
 from repro.learn.tree.criteria import criterion_function
 from repro.learn.tree.flat import flatten_tree
-from repro.learn.tree.splitter import make_split_engine
+from repro.learn.tree.splitter import ImpurityCriterion, PresortedSplitEngine
 from repro.learn.validation import (
     check_array,
     check_binary_labels,
@@ -103,16 +101,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     max_features : None, "all", "sqrt", "log2", int, or float
         Features examined per split; sampled randomly when fewer than all
         (the randomization behind Random Forests).
-    splitter : {"exact", "hist"}
-        Split search mode.  ``"exact"`` presorts each feature once and
-        considers every distinct value boundary (default; identical
-        splits to the classic per-node search).  ``"hist"`` bins each
-        feature into at most ``max_bins`` quantile bins and splits on
-        bin edges — much faster on large ``n``, approximate thresholds.
-    max_bins : int
-        Bin budget per feature for ``splitter="hist"`` (ignored in exact
-        mode).  Features with at most this many distinct values keep
-        their exact candidate thresholds.
     random_state : int, Generator, or None
         Seed for feature subsampling.
     """
@@ -124,8 +112,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_features=None,
-        splitter: str = "exact",
-        max_bins: int = 255,
         random_state=None,
     ):
         self.criterion = criterion
@@ -133,8 +119,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.splitter = splitter
-        self.max_bins = max_bins
         self.random_state = random_state
 
     def fit(self, X, y, sample_indices: np.ndarray | None = None) -> "DecisionTreeClassifier":
@@ -173,10 +157,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         impurity_fn,
         n_candidate_features: int,
     ) -> TreeNode:
-        """Grow the TreeNode graph with the configured split engine."""
-        engine = make_split_engine(
-            self.splitter, X, y01, impurity_fn, self.min_samples_leaf,
-            self.max_bins,
+        """Grow the TreeNode graph on the presorted split engine."""
+        engine = PresortedSplitEngine(
+            X, ImpurityCriterion(y01, impurity_fn), self.min_samples_leaf
         )
         return self._grow(
             engine, engine.root_state(), depth=0, rng=rng,
@@ -219,14 +202,10 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         split = engine.best_split(state, feature_indices, parent_impurity)
         if split is None:
             return node
-        feature, threshold, handle = split
+        feature, threshold, split_at = split
         left_state, right_state = engine.partition(
-            state, feature, threshold, handle
+            state, feature, threshold, split_at
         )
-        left_n = engine.node_stats(left_state)[0] if left_state.size else 0
-        right_n = engine.node_stats(right_state)[0] if right_state.size else 0
-        if left_n == 0 or right_n == 0:
-            return node
         node.feature = feature
         node.threshold = threshold
         node.left = self._grow(

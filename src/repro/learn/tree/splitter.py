@@ -1,43 +1,28 @@
-"""Split-search engines for tree growing: presorted exact and histogram.
+"""The split engine every tree learner grows on.
 
 The seed implementation re-sorted every candidate feature at every node,
-making tree growth ``O(nodes * features * n log n)``.  The engines here
-restore the classic presort/partition scheme and add an opt-in binned
-mode:
+making tree growth ``O(nodes * features * n log n)``.
+:class:`PresortedSplitEngine` restores the classic presort/partition
+scheme: it sorts each feature **once per tree** and partitions the
+per-feature sorted index lists down the recursion.  A stable partition
+of a stably-sorted list is itself stably sorted, so every node sees
+exactly the (values, targets) sequences the seed implementation
+produced by re-sorting — splits, thresholds, and tie-breaking are
+bit-for-bit identical while the per-node ``argsort`` disappears.
 
-``PresortedSplitEngine`` (the default, ``splitter="exact"``)
-    Sorts each feature **once per tree** and partitions the per-feature
-    sorted index lists down the recursion.  A stable partition of a
-    stably-sorted list is itself stably sorted, so every node sees
-    exactly the (values, targets) sequences the seed implementation
-    produced by re-sorting — splits, thresholds, and tie-breaking are
-    bit-for-bit identical while the per-node ``argsort`` disappears.
-    It is the one exact split search of every tree learner: a *split
-    criterion* says what a split is worth — :class:`ImpurityCriterion`
-    for classification trees (CART, forests, bagging, the decision
-    jungle) and :class:`VarianceCriterion` for regression trees
-    (gradient boosting's residual trees, ``DecisionTreeRegressor``).
-
-``HistogramSplitEngine`` (opt-in, ``splitter="hist"``, classification)
-    LightGBM-style binned split finding (Ke et al., NeurIPS 2017): each
-    feature is quantile-binned once per fit and candidate thresholds are
-    bin upper edges, so a node's split search is one ``bincount`` per
-    feature instead of a scan over every distinct value.  When a feature
-    has at most ``max_bins`` distinct values its bin edges are the exact
-    midpoint thresholds, making the histogram search coincide with the
-    exact one on small-cardinality data.
-
-Both engines present the same interface to the grower — an opaque node
-*state*, ``node_stats``, ``best_split``, and ``partition`` — and both
-are deterministic: all randomness (feature subsampling) stays in the
-grower's ``random_state``-threaded generator.
+It is the one exact split search of every tree learner: a *split
+criterion* says what a split is worth — :class:`ImpurityCriterion` for
+classification trees (CART, forests, bagging, the decision jungle) and
+:class:`VarianceCriterion` for regression trees (gradient boosting's
+residual trees, ``DecisionTreeRegressor``).  The engine presents the
+grower an opaque node *state*, ``node_stats``, ``best_split`` and
+``partition``, and is deterministic: all randomness (feature
+subsampling) stays in the grower's ``random_state``-threaded generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.exceptions import ValidationError
 
 # Marks this module for repro perf's P306 rule (hot loops stay
 # allocation-free); the analyzer reads it from the AST, not via import.
@@ -47,8 +32,6 @@ __all__ = [
     "ImpurityCriterion",
     "VarianceCriterion",
     "PresortedSplitEngine",
-    "HistogramSplitEngine",
-    "make_split_engine",
 ]
 
 #: Gain threshold accepting zero-gain splits (classic CART grows to
@@ -230,134 +213,3 @@ class PresortedSplitEngine:
         right = state[~take_left].reshape(n_features, n_node - split_at)
         mask[left_members] = False
         return left, right
-
-
-def _bin_edges(values: np.ndarray, max_bins: int) -> np.ndarray:
-    """Ascending candidate thresholds (bin upper edges) for one feature.
-
-    With at most ``max_bins`` distinct values the edges are the exact
-    CART midpoints (including the rounding guard); otherwise interior
-    quantiles of the value distribution.
-    """
-    unique = np.unique(values)
-    if unique.size <= 1:
-        return np.empty(0)
-    if unique.size <= max_bins:
-        edges = 0.5 * (unique[:-1] + unique[1:])
-        # Same guard as the exact scan: a midpoint must route its left
-        # value left, so it may never round up onto the right value.
-        rounded_up = edges >= unique[1:]
-        edges[rounded_up] = unique[:-1][rounded_up]
-        return edges
-    quantiles = np.quantile(
-        values, np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    )
-    edges = np.unique(quantiles)
-    return edges[edges < unique[-1]]
-
-
-class HistogramSplitEngine:
-    """Binned split search: one ``bincount`` per feature per node.
-
-    Node state is a plain array of the node's sample indices.  Features
-    are quantile-binned once per fit; a split between bins ``b`` and
-    ``b+1`` routes ``x <= edges[b]`` left, so fitted thresholds are real
-    feature-space values and prediction needs no binning.
-    """
-
-    def __init__(self, X: np.ndarray, y01: np.ndarray,
-                 impurity_fn, min_samples_leaf: int, max_bins: int):
-        if max_bins < 2:
-            raise ValidationError(f"max_bins must be >= 2, got {max_bins}")
-        self.X = X
-        self.y01 = y01
-        self.impurity_fn = impurity_fn
-        self.min_samples_leaf = min_samples_leaf
-        self.edges: list[np.ndarray] = []
-        self.codes = np.empty(X.shape, dtype=np.int32)
-        for feature in range(X.shape[1]):
-            edges = _bin_edges(X[:, feature], max_bins)
-            self.edges.append(edges)
-            # code c satisfies edges[c-1] < x <= edges[c], so the samples
-            # with code <= b are exactly those with x <= edges[b].
-            self.codes[:, feature] = np.searchsorted(
-                edges, X[:, feature], side="left"
-            )
-
-    def root_state(self) -> np.ndarray:
-        """State covering every training sample."""
-        return np.arange(self.X.shape[0])
-
-    def node_stats(self, state: np.ndarray) -> tuple[int, float]:
-        """``(n_samples, positive_fraction)`` of the node."""
-        positives = self.y01[state].sum()
-        return state.size, float(positives / state.size)
-
-    def best_split(
-        self, state: np.ndarray, feature_indices: np.ndarray,
-        parent_impurity: float,
-    ) -> tuple[int, float, float] | None:
-        """Best ``(feature, threshold, threshold)`` over candidate features.
-
-        The partition handle is the threshold itself: children are
-        recovered by comparing raw feature values against it.
-        """
-        n_samples = state.size
-        y_node = self.y01[state]
-        total_positive = y_node.sum()
-        best = None
-        best_gain = _GAIN_FLOOR
-        for feature in feature_indices:
-            edges = self.edges[feature]
-            if edges.size == 0:
-                continue
-            codes = self.codes[state, feature]
-            n_bins = edges.size + 1
-            counts = np.bincount(codes, minlength=n_bins)
-            positives = np.bincount(codes, weights=y_node, minlength=n_bins)
-            left_count = np.cumsum(counts)[:-1]  # split after bin b
-            valid = (left_count >= self.min_samples_leaf) & (
-                left_count <= n_samples - self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            left_positive = np.cumsum(positives)[:-1][valid]
-            left_n = left_count[valid].astype(np.float64)
-            right_n = n_samples - left_n
-            right_positive = total_positive - left_positive
-            weighted = (
-                left_n * self.impurity_fn(left_positive / left_n)
-                + right_n * self.impurity_fn(right_positive / right_n)
-            ) / n_samples
-            gains = parent_impurity - weighted
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                threshold = float(edges[np.flatnonzero(valid)[best_local]])
-                best = (int(feature), threshold, threshold)
-        return best
-
-    def partition(
-        self, state: np.ndarray, feature: int, threshold: float, handle: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Split the node's members on ``x[feature] <= threshold``."""
-        goes_left = self.X[state, feature] <= threshold
-        return state[goes_left], state[~goes_left]
-
-
-def make_split_engine(
-    splitter: str, X: np.ndarray, y01: np.ndarray,
-    impurity_fn, min_samples_leaf: int, max_bins: int,
-):
-    """Construct the split engine named by ``splitter``."""
-    if splitter == "exact":
-        return PresortedSplitEngine(
-            X, ImpurityCriterion(y01, impurity_fn), min_samples_leaf
-        )
-    if splitter == "hist":
-        return HistogramSplitEngine(
-            X, y01, impurity_fn, min_samples_leaf, max_bins
-        )
-    raise ValidationError(
-        f"splitter must be 'exact' or 'hist', got {splitter!r}"
-    )

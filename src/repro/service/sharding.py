@@ -39,6 +39,7 @@ the remainder.
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -55,6 +56,7 @@ from repro.service.scheduler import _resume_index, build_campaign
 from repro.service.telemetry import Telemetry
 
 __all__ = [
+    "DEFERRED_IMPORTS",
     "PlatformSpec",
     "ShardTask",
     "ShardResult",
@@ -63,6 +65,13 @@ __all__ = [
     "run_shard",
     "stitch_results",
 ]
+
+#: Modules imported inside the functions that call them (the scipy
+#: statistics and the L-BFGS-B solver), so a process that never calls
+#: them never pays for them.  The process executor imports them once
+#: before forking, so workers inherit them instead of importing them
+#: again in every pool.
+DEFERRED_IMPORTS = ("scipy.optimize", "scipy.stats")
 
 
 @dataclass(frozen=True)
@@ -332,6 +341,8 @@ class ShardedCampaign:
         cache_stats: dict[int, dict] = {}
         queue = list(reversed(tasks))   # pop() dispatches in serial order
         completed = 0
+        for name in DEFERRED_IMPORTS:
+            importlib.import_module(name)
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures: dict = {}
             while queue or futures:

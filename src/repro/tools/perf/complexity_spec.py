@@ -105,7 +105,7 @@ COMPLEXITY = {
         'predict': {},
     },
     'repro.learn.tree.cart.DecisionTreeClassifier': {
-        'fit': {'features': 1},
+        'fit': {},
         'predict': {},
     },
     'repro.learn.tree.jungle.DecisionJungleClassifier': {

@@ -384,8 +384,8 @@ ARRAY_CONTRACTS = {
         'predict': {
             'in': {'X': ('samples', 'features')},
             'validates': ('X',),
-            'out': ('samples',),
-            'out_dtype': 'float64',
+            'out': None,
+            'out_dtype': None,
         },
     },
     'repro.learn.regression.KNeighborsRegressor': {

@@ -38,13 +38,9 @@ from repro.learn.model_selection import StratifiedKFold
 from repro.learn.validation import UNSEEDED
 
 
-def make_problem(seed, n_samples=240, n_features=8, cardinality=None):
+def make_problem(seed, n_samples=240, n_features=8):
     rng = np.random.default_rng(seed)
-    if cardinality is None:
-        X = rng.normal(size=(n_samples, n_features))
-    else:
-        X = rng.integers(0, cardinality, size=(n_samples, n_features))
-        X = X.astype(float)
+    X = rng.normal(size=(n_samples, n_features))
     y = (X[:, 0] + 0.6 * X[:, 1] - X[:, 2]
          + 0.2 * rng.normal(size=n_samples) > X[:, 0].mean()).astype(int)
     if len(np.unique(y)) < 2:  # pragma: no cover - defensive
@@ -170,6 +166,20 @@ class TestDecisionJungleEquivalence:
             assert dag.levels == seed_dag.levels
 
 
+def threshold_rows(root, template):
+    """One copy of ``template`` per split, set exactly on its threshold."""
+    rows = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            row = template.copy()
+            row[node.feature] = node.threshold
+            rows.append(row)
+            stack.extend((node.left, node.right))
+    return np.array(rows).reshape(-1, template.size)
+
+
 class TestRegressionTreeEquivalence:
     @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
     @pytest.mark.parametrize("min_samples_leaf", [1, 5])
@@ -182,8 +192,19 @@ class TestRegressionTreeEquivalence:
                       min_samples_leaf=min_samples_leaf, random_state=2)
         fast = DecisionTreeRegressor(**kwargs).fit(X, target)
         seed = ReferenceDecisionTreeRegressor(**kwargs).fit(X, target)
-        assert fast.predict(X).tobytes() == seed.predict(X).tobytes()
+        # Flat routing against the seed's stack walk, including rows that
+        # sit exactly on every split threshold.
+        X_query = np.vstack([X, threshold_rows(fast.tree_, X[0])])
+        assert fast.predict(X_query).tobytes() == seed.predict(X_query).tobytes()
         assert fast.tree_ == seed.tree_
+
+    def test_constant_columns_predict_the_mean(self):
+        X = np.full((30, 3), 2.5)
+        target = np.arange(30.0)
+        fast = DecisionTreeRegressor().fit(X, target)
+        seed = ReferenceDecisionTreeRegressor().fit(X, target)
+        assert fast.tree_.is_leaf
+        assert fast.predict(X).tobytes() == seed.predict(X).tobytes()
 
 
 class TestFlatForestEquivalence:
@@ -204,33 +225,6 @@ class TestFlatForestEquivalence:
         stacked = forest.flat_forest_.predict_values(X)
         for row, tree in zip(stacked, forest.estimators_):
             assert np.array_equal(row, tree.flat_tree_.predict_value(X))
-
-
-class TestHistogramSplitter:
-    def test_hist_equals_exact_on_small_cardinality(self):
-        # With <= max_bins distinct values per feature, histogram edges
-        # are the exact CART midpoints, so the trees must coincide.
-        X, y = make_problem(2, cardinality=12)
-        exact = DecisionTreeClassifier(max_depth=8, random_state=0).fit(X, y)
-        hist = DecisionTreeClassifier(max_depth=8, splitter="hist",
-                                      max_bins=64, random_state=0).fit(X, y)
-        assert np.array_equal(exact.predict_proba(X), hist.predict_proba(X))
-
-    def test_hist_deterministic_and_sensible(self):
-        X, y = make_problem(12, n_samples=400)
-        first = DecisionTreeClassifier(splitter="hist", max_bins=16,
-                                       max_depth=8, random_state=3).fit(X, y)
-        second = DecisionTreeClassifier(splitter="hist", max_bins=16,
-                                        max_depth=8, random_state=3).fit(X, y)
-        assert np.array_equal(first.predict_proba(X), second.predict_proba(X))
-        assert first.score(X, y) > 0.8
-
-    def test_invalid_splitter_and_bins_rejected(self):
-        X, y = make_problem(0, n_samples=40)
-        with pytest.raises(ValidationError):
-            DecisionTreeClassifier(splitter="sorted").fit(X, y)
-        with pytest.raises(ValidationError):
-            DecisionTreeClassifier(splitter="hist", max_bins=1).fit(X, y)
 
 
 class TestGridSearchEquivalence:

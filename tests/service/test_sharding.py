@@ -1,6 +1,10 @@
 """Tests for the process-sharded campaign engine's determinism contract."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,48 @@ from repro.service import (
     merge_cache_stats,
     stitch_results,
 )
+from repro.service.sharding import DEFERRED_IMPORTS
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: A fresh interpreter runs a two-dataset baseline plan over two worker
+#: processes and records which deferred modules the parent had loaded
+#: before the run and when each pool was built.
+PRE_FORK_SCRIPT = """
+import json, sys
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.core import ExperimentRunner
+from repro.core.config_space import baseline_configuration
+from repro.datasets import load_corpus
+from repro.platforms import Amazon
+from repro.service import sharding
+
+
+def loaded():
+    return [name for name in sharding.DEFERRED_IMPORTS if name in sys.modules]
+
+
+at_pool = []
+
+
+class RecordingPool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool.append(loaded())
+        super().__init__(*args, **kwargs)
+
+
+sharding.ProcessPoolExecutor = RecordingPool
+corpus = load_corpus(max_datasets=2, size_cap=60, feature_cap=4,
+                     random_state=0)
+platform = Amazon(random_state=0)
+before = loaded()
+store = sharding.ShardedCampaign(processes=2).run(
+    ExperimentRunner(split_seed=7), [platform], corpus,
+    {platform.name: [baseline_configuration(platform)]},
+)
+print(json.dumps({"before": before, "at_pool": at_pool, "jobs": len(store)}))
+"""
 
 
 class ExplodingGoogle(Google):
@@ -190,3 +236,18 @@ def test_study_rejects_conflicting_backends():
         MLaaSStudy(platforms=[BigML], processes=2, clock=VirtualClock())
     with pytest.raises(ValidationError, match="processes"):
         MLaaSStudy(platforms=[BigML], processes=0)
+
+
+def test_process_pool_inherits_the_deferred_imports():
+    # Forked workers inherit the parent's modules; without the parent's
+    # import each pool's workers would import scipy again.
+    proc = subprocess.run(
+        [sys.executable, "-c", PRE_FORK_SCRIPT], capture_output=True,
+        text=True, timeout=300,
+        env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["before"] == []
+    assert record["at_pool"] == [list(DEFERRED_IMPORTS)]
+    assert record["jobs"] == 2
