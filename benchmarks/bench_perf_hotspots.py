@@ -1,4 +1,4 @@
-"""Hot-path speedups driven by ``repro perf`` findings, vs. seed code.
+"""Hot-path speedups driven by the perf analyzer's findings, vs. seed code.
 
 Measures the vectorized replacements for the analyzer's confirmed
 P301/P302-class hotspots against the seed implementations kept verbatim

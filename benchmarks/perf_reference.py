@@ -1,7 +1,7 @@
 """Seed-era hot-path implementations, kept verbatim as bench baselines.
 
 These functions re-implement the pre-vectorization bodies of the
-hotspots ``repro perf`` flagged (P301 axis loops in the filter scorers,
+hotspots the perf analyzer flagged (P301 axis loops in the filter scorers,
 the per-index fold assembly in ``StratifiedKFold``) so that
 ``bench_perf_hotspots.py`` and ``tests/learn/test_perf_equivalence.py``
 can measure and assert the vectorized versions against the exact seed

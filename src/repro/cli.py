@@ -18,35 +18,16 @@ Gives downstream users the common study operations without writing code:
 * ``loadgen``   — drive a server (or an in-process loopback) with a
   seeded closed/open-loop request schedule and print the exact
   latency-percentile report.
-* ``lint``      — check the source tree against the reproduction
-  invariants (determinism, estimator contract, Table 1 conformance,
-  exception hygiene, export sync); see :mod:`repro.tools.lint`.
-* ``flow``      — project-wide data-flow & architecture analysis
-  (layering DAG, leakage taint, seed flow, dead code, API drift); see
-  :mod:`repro.tools.flow`.
-* ``race``      — static concurrency & shared-state analysis (lock
-  ordering, unguarded shared writes, check-then-act, process-boundary
-  captures, blocking under locks, shared RNGs); see
-  :mod:`repro.tools.race`.
-* ``perf``      — static complexity & hot-path analysis (axis loops,
-  quadratic growth, invariant calls, uncached refits, complexity-spec
-  conformance, hot-loop allocations); see :mod:`repro.tools.perf`.
-* ``shape``     — static array shape, dtype & aliasing analysis
-  (shape algebra, dtype stability, alias mutation, substrate access,
-  array-contract conformance, boundary validation); see
-  :mod:`repro.tools.shape`.
-* ``wire``      — static wire-contract, error-taxonomy &
-  resource-lifecycle analysis of the serving layer (route/client/spec
-  conformance, taxonomy round-trip, leaked resources, JSON safety,
-  blocking handlers, metrics drift); see :mod:`repro.tools.wire`.
-* ``check``     — run all six analyzers in one process over one shared
-  parse with a merged report and worst-exit-code semantics; see
+* ``check``     — the static analyzers (lint, flow, race, perf, shape,
+  wire) in one process over one shared parse, with a merged report and
+  worst-exit-code semantics; ``--tools`` selects analyzers,
+  ``--list-rules`` and ``--update-spec`` maintain them; see
   :mod:`repro.tools.check`.
 
 The study commands accept ``--datasets`` / ``--size-cap`` to bound
-runtime.  The six analyzer subcommands (and ``check``) share the
-exit-code taxonomy of :mod:`repro.tools.exitcodes`: 0 clean,
-1 findings, 2 usage error, 3 analyzer crash.
+runtime.  ``check`` (like ``campaign``, ``serve`` and ``loadgen``)
+reports through the exit-code taxonomy of :mod:`repro.tools.exitcodes`:
+0 clean, 1 findings, 2 usage error, 3 analyzer crash.
 """
 
 from __future__ import annotations
@@ -82,20 +63,8 @@ from repro.tools.exitcodes import (
     EXIT_USAGE,
     run_guarded,
 )
-from repro.tools.flow.cli import configure_parser as _configure_flow_parser
-from repro.tools.flow.cli import run_flow_command
-from repro.tools.lint.cli import configure_parser as _configure_lint_parser
-from repro.tools.lint.cli import run_lint_command
-from repro.tools.perf.cli import configure_parser as _configure_perf_parser
-from repro.tools.perf.cli import run_perf_command
-from repro.tools.race.cli import configure_parser as _configure_race_parser
-from repro.tools.race.cli import run_race_command
 from repro.tools.check.cli import configure_parser as _configure_check_parser
 from repro.tools.check.cli import run_check_command
-from repro.tools.shape.cli import configure_parser as _configure_shape_parser
-from repro.tools.shape.cli import run_shape_command
-from repro.tools.wire.cli import configure_parser as _configure_wire_parser
-from repro.tools.wire.cli import run_wire_command
 
 __all__ = ["main", "build_parser"]
 
@@ -210,39 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-run the schedule serially and verify "
                               "the payload digests match")
 
-    lint = sub.add_parser(
-        "lint", help="check the source against the reproduction invariants"
-    )
-    _configure_lint_parser(lint)
-
-    flow = sub.add_parser(
-        "flow", help="project-wide data-flow & architecture analysis"
-    )
-    _configure_flow_parser(flow)
-
-    race = sub.add_parser(
-        "race", help="static concurrency & shared-state analysis"
-    )
-    _configure_race_parser(race)
-
-    perf = sub.add_parser(
-        "perf", help="static complexity & hot-path analysis"
-    )
-    _configure_perf_parser(perf)
-
-    shape = sub.add_parser(
-        "shape", help="static array shape, dtype & aliasing analysis"
-    )
-    _configure_shape_parser(shape)
-
-    wire = sub.add_parser(
-        "wire", help="static wire-contract, error-taxonomy & "
-                     "resource-lifecycle analysis"
-    )
-    _configure_wire_parser(wire)
-
     check = sub.add_parser(
-        "check", help="run all six static analyzers over one shared parse"
+        "check", help="run the static analyzers over one shared parse"
     )
     _configure_check_parser(check)
     return parser
@@ -521,18 +459,6 @@ def main(argv=None, out=None) -> int:
         return run_guarded(_cmd_serve, args, out=out)
     if args.command == "loadgen":
         return run_guarded(_cmd_loadgen, args, out=out)
-    if args.command == "lint":
-        return run_guarded(run_lint_command, args, out=out)
-    if args.command == "flow":
-        return run_guarded(run_flow_command, args, out=out)
-    if args.command == "race":
-        return run_guarded(run_race_command, args, out=out)
-    if args.command == "perf":
-        return run_guarded(run_perf_command, args, out=out)
-    if args.command == "shape":
-        return run_guarded(run_shape_command, args, out=out)
-    if args.command == "wire":
-        return run_guarded(run_wire_command, args, out=out)
     if args.command == "check":
         return run_guarded(run_check_command, args, out=out)
     raise AssertionError(f"unhandled command {args.command!r}")

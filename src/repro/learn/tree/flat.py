@@ -23,10 +23,10 @@ import numpy as np
 
 __all__ = ["FlatTree", "FlatForest", "flatten_tree", "stack_trees"]
 
-#: Marks this module for ``repro perf``'s P306 rule: the compiled
+#: Marks this module for the perf analyzer's P306 rule: the compiled
 #: layout promises allocation-free per-row inner loops, and the
 #: analyzer holds it to that.
-_COMPILED_SUBSTRATE = True  # repro: disable=F104 -- read by repro perf's P306 rule from the AST, not through imports
+_COMPILED_SUBSTRATE = True  # repro: disable=F104 -- read by the perf analyzer's P306 rule from the AST, not through imports
 
 
 @dataclass

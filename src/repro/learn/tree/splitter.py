@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Marks this module for repro perf's P306 rule (hot loops stay
+# Marks this module for the perf analyzer's P306 rule (hot loops stay
 # allocation-free); the analyzer reads it from the AST, not via import.
-_COMPILED_SUBSTRATE = True  # repro: disable=F104 -- read by repro perf's P306 rule from the AST, not through imports
+_COMPILED_SUBSTRATE = True  # repro: disable=F104 -- read by the perf analyzer's P306 rule from the AST, not through imports
 
 __all__ = [
     "ImpurityCriterion",

@@ -1,6 +1,6 @@
 """Machine-readable ground truth for the paper's Table 1 control surfaces.
 
-This module is the single source of truth the ``repro lint`` rule R003
+This module is the single source of truth the lint rule R003
 diffs every vendor module against: which platforms exist, their position
 on the complexity axis, which control dimensions (FEAT / CLF / PARA) each
 exposes, the feature-selector inventory, and — classifier by classifier —
@@ -9,7 +9,7 @@ the platform-spelled parameter names, defaults, and the §3.2 scan grids
 ones).
 
 Editing a vendor module without updating this spec (or vice versa) makes
-``repro lint`` fail with an R003 violation naming the exact mismatch, so
+``repro check`` fail with an R003 violation naming the exact mismatch, so
 the reproduction cannot silently drift away from the paper's table.
 
 Note on Amazon's dimensions: the paper's Table 1 lists Amazon as

@@ -1,11 +1,18 @@
 """Command-line front end: ``repro check`` / ``python -m repro.tools.check``.
 
-One invocation, six analyzers, one parse.  The merged report nests
-each tool's familiar payload under its name, and the exit code is the
-worst across the suite on the shared 0/1/2/3 taxonomy (a crashed tool
-contributes 3 without silencing the others).  ``--artifacts-dir``
-additionally writes the per-tool JSON reports CI used to produce with
-six separate steps.
+The only command line of the static-analysis suite.  One invocation
+runs the selected analyzers (``--tools``, default all six) over one
+parse.  The merged report nests each tool's payload under its name, and
+the exit code is the worst across the suite on the shared 0/1/2/3
+taxonomy (a crashed tool contributes 3 without silencing the others).
+``--artifacts-dir`` additionally writes one JSON report per tool.
+
+The maintenance actions ride on the same command: ``--list-rules``
+prints the selected analyzers' rules, ``--update-spec TOOL`` rewrites
+that analyzer's checked-in spec from the tree (``--spec`` names another
+spec file, for the one spec-owning analyzer selected), and ``--top N``
+with an optional ``--profile`` appends perf's ranked hotspots to the
+perf section of the text report.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.tools.exitcodes import EXIT_CRASH, EXIT_USAGE, run_guarded
+from repro.tools.check.runner import ANALYZERS, TOOL_NAMES, run_check
+from repro.tools.exitcodes import (
+    EXIT_CLEAN,
+    EXIT_CRASH,
+    EXIT_USAGE,
+    run_guarded,
+)
 from repro.tools.lint.reporters import REPORTERS, render_json, render_text
 
 __all__ = [
@@ -28,6 +41,8 @@ __all__ = [
 
 #: Default analysis target: the package's own source tree.
 DEFAULT_TARGET = Path(__file__).resolve().parents[2]
+
+_SPEC_OWNERS = tuple(analyzer.name for analyzer in ANALYZERS if analyzer.spec)
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -47,12 +62,36 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     parser.add_argument(
         "--tools", metavar="NAMES",
         help="comma-separated subset of analyzers to run "
-             "(default: lint,flow,race,perf,shape,wire)",
+             f"(default: {','.join(TOOL_NAMES)})",
     )
     parser.add_argument(
         "--artifacts-dir", type=Path, metavar="DIR",
         help="also write per-tool JSON reports (<tool>-report.json) "
              "into DIR",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the selected analyzers' rule codes and exit",
+    )
+    parser.add_argument(
+        "--update-spec", choices=_SPEC_OWNERS, metavar="TOOL",
+        help="rewrite TOOL's checked-in spec from the analyzed tree "
+             f"instead of checking against it ({', '.join(_SPEC_OWNERS)})",
+    )
+    parser.add_argument(
+        "--spec", type=Path, metavar="PATH",
+        help="spec file to check against or rewrite instead of the "
+             "checked-in one (needs exactly one spec-owning analyzer "
+             "selected)",
+    )
+    parser.add_argument(
+        "--top", type=int, metavar="N", default=0,
+        help="append perf's top-N ranked hotspots to the text report",
+    )
+    parser.add_argument(
+        "--profile", type=Path, metavar="JSON",
+        help="cProfile-derived JSON (see repro.tools.perf.report) used "
+             "to re-rank the hotspots by observed time",
     )
     return parser
 
@@ -61,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the standalone parser for ``python -m repro.tools.check``."""
     parser = argparse.ArgumentParser(
         prog="repro check",
-        description="run all six static analyzers over one shared "
-                    "parse with a merged report and worst-exit-code "
-                    "semantics",
+        description="run the static analyzers over one shared parse "
+                    "with a merged report and worst-exit-code semantics",
     )
     return configure_parser(parser)
 
@@ -98,12 +136,14 @@ def _merged_json(report, show_suppressed: bool) -> str:
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _merged_text(report, show_suppressed: bool) -> str:
+def _merged_text(report, show_suppressed: bool, hotspots) -> str:
     sections = []
     for name, result in report.results.items():
         sections.append(f"== repro {name} ==")
-        sections.append(render_text(result,
-                                    show_suppressed=show_suppressed))
+        text = render_text(result, show_suppressed=show_suppressed)
+        if name == "perf" and hotspots is not None:
+            text += "\n" + hotspots(result)
+        sections.append(text)
     for name in report.crashes:
         sections.append(f"== repro {name} ==")
         sections.append(f"CRASHED:\n{report.crashes[name]}")
@@ -131,39 +171,98 @@ def _write_artifacts(report, directory: Path, show_suppressed: bool,
         print(f"wrote {path}", file=out)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _hotspot_renderer(args):
+    """``result -> hotspot section`` for ``--top``, or ``None``.
+
+    Raises ``OSError``/``ValueError`` for an unreadable ``--profile``.
+    """
+    if args.top <= 0 and args.profile is None:
+        return None
+    from repro.tools.perf.report import (
+        load_profile,
+        rank_hotspots,
+        render_hotspots,
+    )
+
+    profile = None if args.profile is None else load_profile(args.profile)
+    if args.top <= 0:
+        return None
+    return lambda result: render_hotspots(
+        rank_hotspots(result.violations, profile=profile), args.top)
+
+
+def _list_rules(selected, out) -> int:
+    for analyzer in selected:
+        for rule in analyzer.rules(None, None):
+            print(f"{rule.code}  {rule.name:<{analyzer.name_width}} "
+                  f"{rule.description}", file=out)
+    return EXIT_CLEAN
+
+
 def run_check_command(args: argparse.Namespace, out=None) -> int:
     """Execute a parsed check invocation; returns the exit code."""
     out = out or sys.stdout
-    paths = args.paths or [DEFAULT_TARGET]
-    for path in paths:
-        if not Path(path).exists():
-            print(f"error: no such file or directory: {path}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    from repro.tools.check.runner import TOOL_NAMES, run_check
-
-    tools = None
-    if args.tools:
+    if args.update_spec:
+        tools = [args.update_spec]
+    elif args.tools:
         tools = [name.strip() for name in args.tools.split(",")
                  if name.strip()]
         unknown = sorted(set(tools) - set(TOOL_NAMES))
         if unknown:
-            print(f"error: unknown analyzer(s): {', '.join(unknown)} "
-                  f"(choose from {', '.join(TOOL_NAMES)})",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"unknown analyzer(s): {', '.join(unknown)} "
+                                f"(choose from {', '.join(TOOL_NAMES)})")
+    else:
+        tools = TOOL_NAMES
+    selected = [analyzer for analyzer in ANALYZERS if analyzer.name in tools]
+    if args.list_rules:
+        return _list_rules(selected, out)
 
-    report = run_check(paths, root=Path.cwd(), tools=tools)
+    paths = args.paths or [DEFAULT_TARGET]
+    for path in paths:
+        if not Path(path).exists():
+            return _usage_error(f"no such file or directory: {path}")
+    if args.spec is not None and \
+            len([analyzer for analyzer in selected if analyzer.spec]) != 1:
+        return _usage_error(
+            "--spec needs exactly one spec-owning analyzer selected "
+            f"({', '.join(_SPEC_OWNERS)}) by --tools or --update-spec")
+    try:
+        hotspots = _hotspot_renderer(args)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"could not read profile {args.profile}: {exc}")
+
+    if args.update_spec:
+        return _update_spec(selected[0], paths, args.spec, out)
+    report = run_check(paths, root=Path.cwd(), tools=tools,
+                       spec_path=args.spec)
     if report.n_files == 0:
-        print("error: no python files found under the given paths",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("no python files found under the given paths")
     if args.artifacts_dir is not None:
         _write_artifacts(report, args.artifacts_dir,
                          args.show_suppressed, out)
-    renderer = _merged_json if args.format == "json" else _merged_text
-    print(renderer(report, args.show_suppressed), file=out)
+    if args.format == "json":
+        print(_merged_json(report, args.show_suppressed), file=out)
+    else:
+        print(_merged_text(report, args.show_suppressed, hotspots), file=out)
     return report.exit_code
+
+
+def _update_spec(analyzer, paths, spec_path, out) -> int:
+    from repro.tools.flow.runner import detect_context_paths
+    from repro.tools.indexing import load_indexed_project
+
+    loaded = load_indexed_project(paths, root=Path.cwd(),
+                                  context_paths=detect_context_paths(paths))
+    if loaded.n_files == 0:
+        return _usage_error("no python files found under the given paths")
+    print(analyzer.spec.update(loaded, spec_path or analyzer.spec.path),
+          file=out)
+    return EXIT_CLEAN
 
 
 def main(argv=None, out=None) -> int:

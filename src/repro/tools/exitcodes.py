@@ -1,9 +1,9 @@
-"""Shared exit-code taxonomy for the analyzer command lines.
+"""Shared exit-code taxonomy for the command lines.
 
-All five static-analysis front ends (``repro lint``, ``repro flow``,
-``repro race``, ``repro perf``, ``repro shape``) report outcomes with
-the same four exit codes, so CI scripts and the dogfood gates can
-interpret any of them without per-tool special cases:
+``repro check`` reports the outcome of any analyzer selection with the
+same four exit codes (and ``campaign``, ``serve`` and ``loadgen`` reuse
+them), so CI scripts and the dogfood gates can interpret any run
+without per-tool special cases:
 
 * :data:`EXIT_CLEAN` (0) — the run completed and found nothing
   unsuppressed (or performed a maintenance action such as
@@ -18,7 +18,7 @@ interpret any of them without per-tool special cases:
   wrong for a traceback.
 
 :func:`run_guarded` is the one place the crash mapping happens; every
-tool ``main`` routes its command function through it.
+command routes its command function through it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""``repro flow`` — project-wide data-flow & architecture analyzer.
+"""The flow analyzer — project-wide data-flow & architecture analysis.
 
-Where ``repro lint`` checks files one at a time, ``repro flow`` parses the
+Where the lint analyzer checks files one at a time, flow parses the
 whole project into shared indexes (symbol table, import graph, approximate
 call graph — see :mod:`repro.tools.flow.graph`) and runs five cross-module
 rule families over them:
@@ -15,18 +15,18 @@ rule families over them:
 * **F104 dead-code** — module-level symbols are reachable from
   ``__all__``, the CLI, benchmarks, examples, or tests;
 * **F105 api-drift** — the exported API surface matches the checked-in
-  ``api_spec.json`` (update with ``repro flow --update-spec``).
+  ``api_spec.json`` (update with ``repro check --update-spec flow``).
 
 Importable API::
 
-    from repro.tools.flow import flow_paths
-    result = flow_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("flow", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro flow [PATHS...] [--format text|json] [--update-spec]
-    python -m repro.tools.flow
+    repro check --tools flow [PATHS...] [--format text|json]
+    repro check --update-spec flow
 
 Suppressions share the lint engine's comment syntax::
 
@@ -35,38 +35,15 @@ Suppressions share the lint engine's comment syntax::
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
-
 from repro.tools.flow.graph import FlowIndex, build_index
 from repro.tools.flow.layers_spec import LAYERS, Layer, layer_of
 from repro.tools.flow.rules import default_flow_rules
-from repro.tools.flow.runner import build_flow_index, run_flow
-from repro.tools.lint.engine import LintResult
 
 __all__ = [
     "FlowIndex",
     "LAYERS",
     "Layer",
-    "LintResult",
-    "build_flow_index",
     "build_index",
     "default_flow_rules",
-    "flow_paths",
     "layer_of",
-    "run_flow",
 ]
-
-
-def flow_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    spec_path: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.flow.runner.run_flow`."""
-    return run_flow(
-        paths, rules=rules, root=root,
-        spec_path=spec_path, context_paths=context_paths,
-    )

@@ -5,8 +5,9 @@ each public module's ``__all__``, the signature of every exported
 function/class defined there, and — because sweeps construct estimators
 blindly — the constructor parameter list of every ``BaseEstimator``
 subclass.  The surface is serialized to ``api_spec.json`` next to this
-module; ``repro flow`` diffs the tree against it and reports any drift,
-and ``repro flow --update-spec`` rewrites it for intentional changes
+module; the flow analyzer diffs the tree against it and reports any
+drift, and ``repro check --update-spec flow`` rewrites it for intentional
+changes
 (reviewed like any other spec edit).
 """
 

@@ -1,4 +1,4 @@
-"""Whole-project indexes for ``repro flow``.
+"""Whole-project indexes for the flow analyzer (and the others).
 
 Every module is parsed exactly once (by the shared lint engine); this
 module turns the parsed forest into the three cross-module structures the
@@ -172,7 +172,7 @@ class CallSite:
 
 @dataclass
 class FlowIndex:
-    """Shared cross-module indexes built once per ``repro flow`` run."""
+    """Shared cross-module indexes built once per analyzed project."""
 
     project: Project
     context_modules: list = field(default_factory=list)

@@ -1,4 +1,4 @@
-"""Machine-readable architecture layering for F101 (``repro flow``).
+"""Machine-readable architecture layering for F101 (the flow analyzer).
 
 The reproduction's dependency DAG, lowest layer first::
 

@@ -1,4 +1,4 @@
-"""The cross-module rule families of ``repro flow``.
+"""The cross-module rule families of the flow analyzer.
 
 =====  ====================  ==================================================
 Code   Name                  Invariant protected
@@ -19,7 +19,7 @@ F104   dead-code             Module-level symbols must be reachable from
 F105   api-drift             The exported API surface (names, signatures,
                              estimator params) matches ``api_spec.json``;
                              intentional changes go through
-                             ``repro flow --update-spec``.
+                             ``repro check --update-spec flow``.
 =====  ====================  ==================================================
 
 Unlike the single-file R-rules, every F-rule needs the shared

@@ -1,13 +1,8 @@
-"""Driver for one ``repro flow`` run.
+"""Where the analyzers find their context modules.
 
-Reuses the lint engine end to end — file discovery, parsing, suppression
-comments, :class:`~repro.tools.lint.engine.LintResult` — and adds the one
-thing flow rules need that lint rules don't: the shared
-:class:`~repro.tools.flow.graph.FlowIndex` built once over the whole
-project, plus *context modules* (benchmarks, examples, tests).  Context
-modules are parsed so the dead-code rule can see what they reference, but
-they are never themselves reported on — their hygiene is ``repro lint``'s
-job.
+Context modules (benchmarks, examples, tests) are parsed alongside the
+analyzed tree so the dead-code rule can see what they reference, but
+they are never themselves reported on.
 """
 
 from __future__ import annotations
@@ -15,26 +10,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-# Importing the lint rules fills RULE_REGISTRY, so flow runs recognize
-# R-code suppressions as known companion codes.
-import repro.tools.lint.rules  # noqa: F401  (registration side effect)
-from repro.tools.flow.graph import FlowIndex
-from repro.tools.flow.rules import default_flow_rules
-from repro.tools.indexing import load_indexed_project
-from repro.tools.lint.engine import (
-    ENGINE_CODE,
-    RULE_REGISTRY,
-    LintResult,
-    Violation,
-    apply_suppressions,
-    suppression_violations,
-)
-
 __all__ = [
     "CONTEXT_DIR_NAMES",
-    "build_flow_index",
     "detect_context_paths",
-    "run_flow",
 ]
 
 #: Sibling directories of the analyzed package that count as liveness
@@ -63,69 +41,3 @@ def detect_context_paths(paths: Sequence) -> list:
                     if (candidate / name).is_dir()
                 ]
     return []
-
-
-def build_flow_index(
-    paths: Sequence,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> FlowIndex:
-    """Parse ``paths`` (+ context) and build the shared flow index.
-
-    ``context_paths=None`` auto-detects sibling benchmarks/examples/tests
-    via :func:`detect_context_paths`; pass ``()`` to analyze in isolation.
-    Loading is memoized by :mod:`repro.tools.indexing`, so a ``repro
-    race`` run over the same tree reuses this index instead of parsing
-    the project twice.
-    """
-    if context_paths is None:
-        context_paths = detect_context_paths(paths)
-    return load_indexed_project(
-        paths, root=root, context_paths=context_paths,
-    ).index
-
-
-def run_flow(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    spec_path: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> LintResult:
-    """Run the flow rules over ``paths``; mirrors ``run_lint``'s contract.
-
-    ``rules=None`` runs every F-rule; pass a subset (already bound to an
-    index, or not — unbound rules get the shared index injected) to focus
-    a run.  ``spec_path`` overrides where F105 reads ``api_spec.json``.
-    """
-    if context_paths is None:
-        context_paths = detect_context_paths(paths)
-    loaded = load_indexed_project(paths, root=root,
-                                  context_paths=context_paths)
-    project = loaded.project
-    violations: list[Violation] = list(loaded.parse_violations)
-    n_files = loaded.n_files
-    index = loaded.index
-
-    if rules is None:
-        rules = default_flow_rules(index, spec_path=spec_path)
-    for rule in rules:
-        if getattr(rule, "index", None) is None:
-            rule.index = index
-
-    known_codes = (
-        {rule.code for rule in rules}
-        | set(RULE_REGISTRY)
-        | {ENGINE_CODE}
-    )
-    for module in project.modules:
-        violations.extend(suppression_violations(module, known_codes))
-        for rule in rules:
-            violations.extend(rule.check_module(module, project))
-    for rule in rules:
-        violations.extend(rule.check_project(project))
-
-    modules_by_path = {m.relpath: m for m in project.modules}
-    violations = apply_suppressions(violations, modules_by_path)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return LintResult(violations=violations, n_files=n_files)

@@ -1,4 +1,4 @@
-"""Interprocedural leakage-taint analysis backing F102 (``repro flow``).
+"""Interprocedural leakage-taint analysis backing F102 (the flow analyzer).
 
 The paper's protocol trains on the training fold only; a single
 ``fit(X_test)`` anywhere in the pipeline silently inflates every number

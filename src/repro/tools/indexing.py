@@ -1,14 +1,13 @@
 """Shared, cached project loading for the static-analysis tools.
 
-``repro lint``, ``repro flow``, ``repro race``, ``repro perf``,
-``repro shape``, and ``repro wire`` all
-start the same way: discover the Python files, parse each one exactly
-once, and (for the cross-module analyzers) build the shared
+The six analyzers of ``repro check`` (lint, flow, race, perf, shape
+and wire) all start the same way: discover the Python files, parse each
+one exactly once, and (for the cross-module analyzers) build the shared
 :class:`~repro.tools.flow.graph.FlowIndex` of symbols, imports, and
-calls.  When the analyzers run from one process — the combined CI job,
-the dogfood test gates, or a ``repro flow && repro race`` script driving
-them through the Python API — rebuilding those indexes per tool doubles
-or triples the dominant cost of a run.
+calls.  When the analyzers run from one process — ``repro check``, the
+dogfood test gates, or a script driving them through
+:func:`repro.tools.check.run_analyzer` — rebuilding those indexes per
+tool doubles or triples the dominant cost of a run.
 
 This module is the memoizing facade in front of that work: an
 :class:`IndexedProject` bundles the parsed project, its parse-failure
@@ -55,59 +54,23 @@ class IndexedProject:
     index: FlowIndex
     parse_violations: list = field(default_factory=list)
     n_files: int = 0
-    _loop_model: object = None
-    _shape_model: object = None
-    _wire_model: object = None
+    _models: dict = field(default_factory=dict)
 
     @property
     def context_modules(self) -> list:
         """Benchmark/example/test modules parsed alongside the project."""
         return self.index.context_modules
 
-    def loop_model(self):
-        """The perf analyzer's loop-nest model, built lazily and memoized.
+    def memo(self, key: str, build):
+        """``build()``'s result, computed once per cached entry.
 
-        Lives on the cached entry so repeated ``repro perf`` runs over an
-        unchanged tree share the model the way all tools share the parse.
-        The import is deferred: only perf runs pay for it, and the perf
-        package can import this facade without a cycle.
+        An analyzer's model (perf's loop nests, shape's array facts,
+        wire's contract) lives here, so repeated runs over an unchanged
+        tree share it the way every analyzer shares the parse.
         """
-        if self._loop_model is None:
-            from repro.tools.perf.loops import build_loop_model
-
-            self._loop_model = build_loop_model(self.index)
-        return self._loop_model
-
-    def shape_model(self):
-        """The shape analyzer's array-fact model, built lazily and memoized.
-
-        Lives on the cached entry so repeated ``repro shape`` runs over
-        an unchanged tree share the model the way all tools share the
-        parse.  The import is deferred: only shape runs pay for it, and
-        the shape package can import this facade without a cycle.
-        """
-        if self._shape_model is None:
-            from repro.tools.shape.arrays import build_shape_model
-
-            self._shape_model = build_shape_model(self.index)
-        return self._shape_model
-
-    def wire_model(self):
-        """The wire analyzer's contract model, built lazily and memoized.
-
-        Lives on the cached entry so repeated ``repro wire`` runs over
-        an unchanged tree share the model the way all tools share the
-        parse.  The import is deferred: only wire runs pay for it, and
-        the wire package can import this facade without a cycle.  The
-        wire model consumes :meth:`shape_model` for W504's dtype facts,
-        so one wire run warms both.
-        """
-        if self._wire_model is None:
-            from repro.tools.wire.wiremodel import build_wire_model
-
-            self._wire_model = build_wire_model(self.index,
-                                                self.shape_model())
-        return self._wire_model
+        if key not in self._models:
+            self._models[key] = build()
+        return self._models[key]
 
 
 def _stat_entries(paths: Sequence) -> tuple:

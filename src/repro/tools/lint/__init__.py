@@ -1,4 +1,4 @@
-"""``repro lint`` — AST-based invariant checker for the reproduction.
+"""The lint analyzer — AST-based invariant checker for the reproduction.
 
 The paper's measurement protocol only holds if a handful of invariants
 hold everywhere in the codebase: every RNG is threaded from an explicit
@@ -10,14 +10,13 @@ turns those prose contracts into machine-checked lint rules.
 
 Importable API::
 
-    from repro.tools.lint import lint_paths
-    result = lint_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("lint", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro lint [PATHS...] [--format text|json] [--show-suppressed]
-    python -m repro.tools.lint
+    repro check --tools lint [PATHS...] [--format text|json]
 
 Findings are suppressed per line with a justified comment::
 
@@ -26,6 +25,7 @@ Findings are suppressed per line with a justified comment::
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,6 @@ from repro.tools.lint.engine import (
     Suppression,
     Violation,
     register_rule,
-    run_lint,
 )
 from repro.tools.lint.reporters import REPORTERS, render_json, render_text
 from repro.tools.lint.rules import default_rules
@@ -57,23 +56,12 @@ __all__ = [
     "Suppression",
     "Violation",
     "default_rules",
-    "lint_paths",
     "lint_source",
     "register_rule",
     "render_json",
     "render_text",
     "rules",
-    "run_lint",
 ]
-
-
-def lint_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-) -> LintResult:
-    """Lint files/directories; see :func:`repro.tools.lint.engine.run_lint`."""
-    return run_lint(paths, rules=rules, root=root)
 
 
 def lint_source(
@@ -82,36 +70,21 @@ def lint_source(
     rules: Sequence | None = None,
 ) -> LintResult:
     """Lint one in-memory source snippet (used by the rule unit tests)."""
-    import ast
-
-    from repro.tools.lint.engine import (
-        apply_suppressions,
-        parse_suppressions,
-        suppression_violations,
-    )
+    from repro.tools.check import known_codes
+    from repro.tools.lint.engine import parse_suppressions, run_rules
 
     if rules is None:
         rules = default_rules()
-    known_codes = {rule.code for rule in rules} | {ENGINE_CODE}
-    violations: list[Violation] = []
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
-        violations.append(Violation(
+        return LintResult(violations=[Violation(
             code=ENGINE_CODE,
             message=f"could not parse file: {exc.msg}",
             path=filename, line=exc.lineno or 1,
-        ))
-        return LintResult(violations=violations, n_files=1)
+        )], n_files=1)
     module = ModuleInfo(
         path=Path(filename), relpath=filename, source=source, tree=tree,
         suppressions=parse_suppressions(source),
     )
-    project = Project(modules=[module])
-    violations.extend(suppression_violations(module, known_codes))
-    for rule in rules:
-        violations.extend(rule.check_module(module, project))
-        violations.extend(rule.check_project(project))
-    violations = apply_suppressions(violations, {module.relpath: module})
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return LintResult(violations=violations, n_files=1)
+    return run_rules(Project(modules=[module]), rules, (), 1, known_codes())

@@ -1,8 +1,9 @@
-"""Core of the ``repro lint`` engine.
+"""Core of the lint engine shared by every analyzer.
 
 The engine is deliberately small: it walks a set of Python files, parses
 each into an AST exactly once, extracts ``# repro: disable=CODE`` comments
-and hands the parsed modules to a list of pluggable :class:`Rule` objects.
+and hands the parsed modules to a list of pluggable :class:`Rule` objects
+through :func:`run_rules`, the one rule loop every analyzer runs.
 Rules come in two flavours:
 
 * **module rules** inspect one file at a time (:meth:`Rule.check_module`);
@@ -17,7 +18,8 @@ Suppression comments have the form::
 and may also stand alone on the line directly above the violating
 statement.  A suppression without a ``-- reason`` (or naming an unknown
 rule code) is itself reported as an ``R000`` violation, so every surviving
-suppression in the tree carries a human-readable justification.  ``R000``
+suppression in the tree carries a human-readable justification.  A code
+is known when any analyzer of :mod:`repro.tools.check` owns it.  ``R000``
 violations cannot be suppressed.
 """
 
@@ -32,7 +34,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "COMPANION_CODES",
     "ENGINE_CODE",
     "LintResult",
     "ModuleInfo",
@@ -46,27 +47,13 @@ __all__ = [
     "load_module",
     "parse_suppressions",
     "register_rule",
-    "run_lint",
+    "run_rules",
     "suppression_violations",
 ]
 
 #: Code reserved for engine-level problems (parse failures, malformed or
 #: unknown suppressions).  Never suppressible.
 ENGINE_CODE = "R000"
-
-#: Codes owned by companion analyzers sharing the ``# repro: disable=``
-#: comment syntax in the same source tree.  ``repro lint`` must not report
-#: a justified ``repro flow``, ``repro race``, ``repro perf``,
-#: ``repro shape``, or ``repro wire`` suppression as an unknown code (and
-#: vice versa: the flow, race, perf, shape, and wire runners include the
-#: R-codes in their known sets).
-COMPANION_CODES = frozenset({
-    "F101", "F102", "F103", "F104", "F105",
-    "C201", "C202", "C203", "C204", "C205", "C206",
-    "P301", "P302", "P303", "P304", "P305", "P306",
-    "S401", "S402", "S403", "S404", "S405", "S406",
-    "W501", "W502", "W503", "W504", "W505", "W506",
-})
 
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro:\s*disable=(?P<codes>[A-Za-z0-9_,\s]+?)"
@@ -314,9 +301,8 @@ def load_module(path: Path, root: Path | None = None) -> tuple:
 def suppression_violations(module: ModuleInfo, known_codes: set) -> Iterator[Violation]:
     """Engine-level findings about a module's suppression comments.
 
-    Shared by ``repro lint`` and ``repro flow``: a suppression without a
-    reason, targeting :data:`ENGINE_CODE`, or naming a code that neither
-    the current run nor a companion analyzer owns is itself a violation.
+    A suppression without a reason, targeting :data:`ENGINE_CODE`, or
+    naming a code outside ``known_codes`` is itself a violation.
     """
     for suppression in module.suppressions:
         if not suppression.reason:
@@ -337,7 +323,7 @@ def suppression_violations(module: ModuleInfo, known_codes: set) -> Iterator[Vio
                     path=module.relpath,
                     line=suppression.line,
                 )
-            elif code not in known_codes and code not in COMPANION_CODES:
+            elif code not in known_codes:
                 yield Violation(
                     code=ENGINE_CODE,
                     message=f"suppression names unknown rule code {code!r}",
@@ -390,26 +376,21 @@ class LintResult:
         return 1 if self.unsuppressed else 0
 
 
-def run_lint(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
+def run_rules(
+    project: Project,
+    rules: Sequence,
+    parse_violations: Sequence,
+    n_files: int,
+    known_codes: set,
 ) -> LintResult:
-    """Lint ``paths`` with ``rules`` (default: every registered rule)."""
-    if rules is None:
-        rules = [cls() for _, cls in sorted(RULE_REGISTRY.items())]
-    known_codes = {rule.code for rule in rules} | {ENGINE_CODE}
+    """Run ``rules`` over a parsed ``project``: the one rule loop.
 
-    project = Project()
-    violations: list[Violation] = []
-    n_files = 0
-    for path in iter_python_files(paths):
-        n_files += 1
-        module, parse_violations = load_module(path, root=root)
-        violations.extend(parse_violations)
-        if module is not None:
-            project.modules.append(module)
-
+    Suppression findings and module rules run per module, project rules
+    once; justified suppressions are then applied and the findings
+    sorted by location.  ``known_codes`` is the suppression vocabulary
+    (every analyzer's rule codes plus :data:`ENGINE_CODE`).
+    """
+    violations: list[Violation] = list(parse_violations)
     for module in project.modules:
         violations.extend(suppression_violations(module, known_codes))
         for rule in rules:

@@ -1,4 +1,4 @@
-"""Output formats for ``repro lint`` results."""
+"""Output formats for analyzer results (``repro check --format``)."""
 
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def render_json(result: LintResult, show_suppressed: bool = False) -> str:
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-#: Reporter name -> renderer, as selected by ``repro lint --format``.
+#: Reporter name -> renderer, as selected by ``repro check --format``.
 REPORTERS: dict[str, Callable] = {
     "text": render_text,
     "json": render_json,

@@ -1,4 +1,4 @@
-"""The repo-specific rule families of ``repro lint``.
+"""The repo-specific rule families of the lint analyzer.
 
 =====  ====================  ==================================================
 Code   Name                  Invariant protected (paper section)
@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.exceptions import ReproError
@@ -344,6 +347,31 @@ class _ExtractionError(ReproError):
         self.node = node
 
 
+#: ``table1_spec.py`` of this installation (R003's ground truth).
+_TABLE1_SPEC_PATH = (Path(__file__).resolve().parents[2]
+                     / "platforms" / "table1_spec.py")
+
+
+def _table1_spec() -> dict:
+    """``TABLE1_SPEC`` without importing the ``repro.platforms`` package.
+
+    That package import loads every simulator, ``repro.learn`` and
+    numpy, while the spec module needs only :mod:`dataclasses`, so it is
+    executed from its file, once per process, unless it is already
+    imported.
+    """
+    for name in ("repro.platforms.table1_spec", "_repro_table1_spec"):
+        if name in sys.modules:
+            return sys.modules[name].TABLE1_SPEC
+    spec = importlib.util.spec_from_file_location("_repro_table1_spec",
+                                                  _TABLE1_SPEC_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.TABLE1_SPEC
+
+
 @register_rule
 class Table1ConformanceRule(Rule):
     """Vendor ``ControlSurface`` declarations must match ``table1_spec``."""
@@ -360,8 +388,7 @@ class Table1ConformanceRule(Rule):
 
     def _load_spec(self) -> dict:
         if self._spec is None:
-            from repro.platforms.table1_spec import TABLE1_SPEC
-            self._spec = TABLE1_SPEC
+            self._spec = _table1_spec()
         return self._spec
 
     def check_project(self, project: Project) -> Iterator[Violation]:

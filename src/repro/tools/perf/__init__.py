@@ -1,4 +1,4 @@
-"""``repro perf`` — static complexity & hot-path analyzer.
+"""The perf analyzer — static complexity & hot-path analysis.
 
 The paper's axis is *complexity vs. performance*; this package is the
 fourth static-analysis pass ("P-rules") that enforces that axis on the
@@ -21,26 +21,26 @@ compose over the in-project call graph — and runs six rules over it:
 * **P305 complexity-spec** — each estimator's derived ``fit``/``predict``
   loop-nest depth over (samples, features, estimators, iterations) must
   match the checked-in Table-1-style ``complexity_spec.py``
-  (refresh with ``--update-spec``);
+  (refresh with ``repro check --update-spec perf``);
 * **P306 hot-loop-alloc** — numpy allocation inside per-row hot loops
   of modules tagged ``_COMPILED_SUBSTRATE`` (the compiled tree
   substrate promises allocation-free inner loops).
 
 Importable API::
 
-    from repro.tools.perf import perf_paths
-    result = perf_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("perf", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro perf [PATHS...] [--format text|json] [--top N] [--profile F]
-    repro perf --update-spec
-    python -m repro.tools.perf
+    repro check --tools perf [PATHS...] [--top N] [--profile F]
+    repro check --update-spec perf
 
-``--top N`` appends a ranked hotspot section (severity × nest depth,
-optionally re-weighted by a cProfile-derived ``--profile`` JSON); its
-head doubles as the work-list for compiling the next substrate family.
+``--top N`` appends a ranked hotspot section to the perf report
+(severity × nest depth, optionally re-weighted by a cProfile-derived
+``--profile`` JSON); its head doubles as the work-list for compiling
+the next substrate family.
 
 Suppressions share the lint engine's comment syntax — a justified
 suppression states the performance argument the analyzer cannot see::
@@ -56,31 +56,11 @@ on the shared index entry.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
-
-from repro.tools.lint.engine import LintResult
 from repro.tools.perf.loops import LoopModel, build_loop_model
 from repro.tools.perf.rules import default_perf_rules
-from repro.tools.perf.runner import run_perf
 
 __all__ = [
-    "LintResult",
     "LoopModel",
     "build_loop_model",
     "default_perf_rules",
-    "perf_paths",
-    "run_perf",
 ]
-
-
-def perf_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.perf.runner.run_perf`."""
-    return run_perf(paths, rules=rules, root=root,
-                    context_paths=context_paths, spec_path=spec_path)

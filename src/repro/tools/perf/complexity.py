@@ -1,4 +1,4 @@
-"""Derived per-estimator complexity spec for ``repro perf`` (P305).
+"""Derived per-estimator complexity spec for the perf analyzer (P305).
 
 The paper's Table 1 catalogues each model family's training/prediction
 cost along the axes the service user controls (samples, features,
@@ -13,7 +13,8 @@ module — a plain-literal Python file so it diffs readably and loads via
 ``ast.literal_eval`` (no import, which lets ``--update-spec`` rewrite
 and re-check it within one process).  P305 compares fresh derivation
 against the checked-in spec; an intentional change to an estimator's
-loop structure is recorded by re-running ``repro perf --update-spec``.
+loop structure is recorded by re-running ``repro check --update-spec
+perf``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-function loop-nest model for ``repro perf``.
+"""Per-function loop-nest model for the perf analyzer.
 
 Walks every function the shared :class:`~repro.tools.flow.graph.FlowIndex`
 knows about and extracts the structure the P-rules query:

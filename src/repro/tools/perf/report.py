@@ -1,4 +1,4 @@
-"""Ranked hotspot report for ``repro perf`` (``--top`` / ``--profile``).
+"""Ranked hotspot section of the perf report (``--top`` / ``--profile``).
 
 Static findings are not all equally urgent: a quadratic-growth site
 beats an unhoisted ``np.log``, and a depth-3 nest beats a depth-1 pass.
@@ -122,12 +122,11 @@ def rank_hotspots(violations: list, profile: list | None = None) -> list:
     return ranked
 
 
-def render_hotspots(ranked: list, top: int, out) -> None:
-    """Print the ``--top N`` hotspot section of the report."""
+def render_hotspots(ranked: list, top: int) -> str:
+    """The ``--top N`` hotspot section of the perf report."""
     shown = ranked[:top]
-    print(file=out)
-    print(f"top {len(shown)} hotspot(s) of {len(ranked)} finding(s):",
-          file=out)
+    lines = ["", f"top {len(shown)} hotspot(s) of {len(ranked)} finding(s):"]
     for position, (score, violation) in enumerate(shown, start=1):
-        print(f"{position:3d}. [{score:8.2f}] {violation.code} "
-              f"{violation.location}  {violation.message}", file=out)
+        lines.append(f"{position:3d}. [{score:8.2f}] {violation.code} "
+                     f"{violation.location}  {violation.message}")
+    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""``repro race`` — static concurrency & shared-state analyzer.
+"""The race analyzer — static concurrency & shared-state analysis.
 
 PRs 3–4 made the reproduction genuinely concurrent: a thread-pooled
 :class:`~repro.service.scheduler.CampaignScheduler` with locks, bounded
@@ -31,14 +31,13 @@ nondeterministic campaign result:
 
 Importable API::
 
-    from repro.tools.race import race_paths
-    result = race_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("race", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro race [PATHS...] [--format text|json]
-    python -m repro.tools.race
+    repro check --tools race [PATHS...] [--format text|json]
 
 Suppressions share the lint engine's comment syntax — a justified
 suppression states the invariant the analyzer cannot see::
@@ -47,36 +46,17 @@ suppression states the invariant the analyzer cannot see::
 
 The analysis reuses the lint engine (files parsed once, same reporters
 and exit codes) and the flow package's shared symbol/import/call-graph
-indexes through the memoized :mod:`repro.tools.indexing` facade, so
-``repro flow`` and ``repro race`` in one process index the project once.
+indexes through the memoized :mod:`repro.tools.indexing` facade, so the
+flow and race analyzers in one process index the project once.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
-
 from repro.tools.race.concurrency import ConcurrencyIndex, build_concurrency
 from repro.tools.race.rules import default_race_rules
-from repro.tools.race.runner import run_race
-from repro.tools.lint.engine import LintResult
 
 __all__ = [
     "ConcurrencyIndex",
-    "LintResult",
     "build_concurrency",
     "default_race_rules",
-    "race_paths",
-    "run_race",
 ]
-
-
-def race_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.race.runner.run_race`."""
-    return run_race(paths, rules=rules, root=root,
-                    context_paths=context_paths)

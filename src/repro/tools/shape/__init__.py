@@ -1,4 +1,4 @@
-"""``repro shape`` — static array shape, dtype & aliasing analyzer.
+"""The shape analyzer — static array shape, dtype & aliasing analysis.
 
 The paper's complexity-vs-performance comparison is only as good as the
 numerical fidelity of each pipeline; this package is the fifth
@@ -28,22 +28,21 @@ rules over it:
   ``fit``/``predict``/``predict_proba``/``transform`` array contract
   (input shapes, validated parameters, return shape/dtype) must match
   the checked-in Table-1-style ``array_contracts_spec.py``
-  (refresh with ``--update-spec``);
+  (refresh with ``repro check --update-spec shape``);
 * **S406 boundary-validation** — array parameters crossing the public
   platform API boundary without ``asarray``/``check_array``
   normalization, tracked through resolved in-project calls.
 
 Importable API::
 
-    from repro.tools.shape import shape_paths
-    result = shape_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("shape", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro shape [PATHS...] [--format text|json]
-    repro shape --update-spec
-    python -m repro.tools.shape
+    repro check --tools shape [PATHS...] [--format text|json]
+    repro check --update-spec shape
 
 Suppressions share the lint engine's comment syntax — a justified
 suppression states the aliasing or numeric argument the analyzer
@@ -60,31 +59,11 @@ is memoized on the shared index entry.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
-
-from repro.tools.lint.engine import LintResult
 from repro.tools.shape.arrays import ShapeModel, build_shape_model
 from repro.tools.shape.rules import default_shape_rules
-from repro.tools.shape.runner import run_shape
 
 __all__ = [
-    "LintResult",
     "ShapeModel",
     "build_shape_model",
     "default_shape_rules",
-    "run_shape",
-    "shape_paths",
 ]
-
-
-def shape_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.shape.runner.run_shape`."""
-    return run_shape(paths, rules=rules, root=root,
-                     context_paths=context_paths, spec_path=spec_path)

@@ -1,4 +1,4 @@
-"""Symbolic array-fact model for ``repro shape``.
+"""Symbolic array-fact model for the shape analyzer.
 
 Walks every function the shared :class:`~repro.tools.flow.graph.FlowIndex`
 knows about and abstract-interprets its ndarray expressions into the

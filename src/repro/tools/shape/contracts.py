@@ -1,4 +1,4 @@
-"""Derived per-estimator array contracts for ``repro shape`` (S405).
+"""Derived per-estimator array contracts for the shape analyzer (S405).
 
 The paper's Table 1 fixes *what* each model family computes; this module
 derives the array-level analogue of *how* it is exchanged: for every
@@ -13,8 +13,8 @@ this module — a plain-literal Python file so it diffs readably and loads
 via ``ast.literal_eval`` (no import, which lets ``--update-spec``
 rewrite and re-check it within one process).  S405 compares fresh
 derivation against the checked-in spec; an intentional change to an
-estimator's array contract is recorded by re-running ``repro shape
---update-spec``.
+estimator's array contract is recorded by re-running ``repro check
+--update-spec shape``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""``repro wire`` — static wire-contract, error-taxonomy & resource analyzer.
+"""The wire analyzer — static wire-contract, error-taxonomy & resource
+analysis.
 
 The paper's methodology exercises MLaaS platforms through their
 service APIs, and the serving layer reproduces that client/server
@@ -17,7 +18,7 @@ runs six rules over it:
 
 * **W501 wire-contract** — derived routes and client expectations must
   agree with each other and with the checked-in ``wire_spec.py``
-  (refresh with ``--update-spec``);
+  (refresh with ``repro check --update-spec wire``);
 * **W502 error-taxonomy** — every raised ``ReproError`` kind maps
   through the taxonomy back to the same class; unmapped raises, dead
   mappings, broken round-trips and spec drift are flagged;
@@ -33,15 +34,14 @@ runs six rules over it:
 
 Importable API::
 
-    from repro.tools.wire import wire_paths
-    result = wire_paths(["src/repro"])
+    from repro.tools.check import run_analyzer
+    result = run_analyzer("wire", ["src/repro"])
     assert result.exit_code == 0, result.violations
 
 Command line::
 
-    repro wire [PATHS...] [--format text|json]
-    repro wire --update-spec
-    python -m repro.tools.wire
+    repro check --tools wire [PATHS...] [--format text|json]
+    repro check --update-spec wire
 
 Suppressions share the lint engine's comment syntax — a justified
 suppression states the lifecycle or contract fact the analyzer cannot
@@ -59,31 +59,11 @@ run warms both.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Sequence
-
-from repro.tools.lint.engine import LintResult
 from repro.tools.wire.rules import default_wire_rules
-from repro.tools.wire.runner import run_wire
 from repro.tools.wire.wiremodel import WireModel, build_wire_model
 
 __all__ = [
-    "LintResult",
     "WireModel",
     "build_wire_model",
     "default_wire_rules",
-    "run_wire",
-    "wire_paths",
 ]
-
-
-def wire_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.wire.runner.run_wire`."""
-    return run_wire(paths, rules=rules, root=root,
-                    context_paths=context_paths, spec_path=spec_path)

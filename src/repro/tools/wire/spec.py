@@ -7,7 +7,7 @@ contract the analyzer derived from the code.  W501 (routes and client
 expectations), W502 (error-status table) and W506 (metrics surface)
 diff the current derivation against it, so any change to the HTTP
 surface shows up twice in a PR — once in the code and once in the
-spec refreshed via ``repro wire --update-spec``.
+spec refreshed via ``repro check --update-spec wire``.
 
 The file is rendered deterministically (sorted keys, one entry per
 line, tuples for sequences) so ``--update-spec`` is byte-identical

@@ -1,6 +1,9 @@
-"""Shared fixtures: small deterministic datasets used across the suite."""
+"""Shared fixtures: small deterministic datasets used across the suite,
+and one whole-tree analyzer run shared by the dogfood gates."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,3 +39,26 @@ def circles_data():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def source_tree():
+    """The repro package analyzed once by the whole suite.
+
+    The six dogfood gates (``tests/test_*_clean.py``) share this one
+    ``run_check`` instead of re-analyzing the tree per analyzer.
+    ``loaded`` is the shared index entry the run used, so the gates'
+    "the analyzer still sees ..." guards read the same memoized models.
+    """
+    from types import SimpleNamespace
+
+    import repro
+    from repro.tools.check import run_check
+    from repro.tools.flow.runner import detect_context_paths
+    from repro.tools.indexing import load_indexed_project
+
+    root = Path(repro.__file__).resolve().parent
+    report = run_check([root])
+    loaded = load_indexed_project([root],
+                                  context_paths=detect_context_paths([root]))
+    return SimpleNamespace(root=root, report=report, loaded=loaded)

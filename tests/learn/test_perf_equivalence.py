@@ -1,6 +1,6 @@
 """Equivalence of the perf-driven vectorizations with the seed code.
 
-``repro perf`` flagged Python-level axis loops in the filter scorers and
+The perf analyzer flagged Python-level axis loops in the filter scorers and
 the fold assembly of ``StratifiedKFold``; their vectorized replacements
 are pure wall-clock optimizations, so every test here asserts
 **bit-for-bit** equality against the seed implementations kept verbatim

@@ -1,6 +1,6 @@
 """Equivalence of the shape-driven dtype fixes with the original code.
 
-``repro shape`` (S402) flagged builtin ``float``/``int`` dtype names
+The shape analyzer (S402) flagged builtin ``float``/``int`` dtype names
 across the learn substrate — ``astype(float)``, ``dtype=int`` and
 friends leave the array width to the platform.  The fixes spell them
 ``np.float64``/``np.intp``, which on every supported platform name the

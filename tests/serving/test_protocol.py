@@ -66,7 +66,7 @@ def test_malformed_json_bodies_raise_validation_error(raw):
     (ResourceNotFoundError("x"), 404),
     (JobFailedError("x"), 409),
     # Regression: predict-before-fit surfaced as a bare 500 until the
-    # kind earned its own wire mapping (found by `repro wire`, W502).
+    # kind earned its own wire mapping (found by the wire analyzer, W502).
     (NotFittedError("x"), 409),
     (PayloadTooLargeError("x"), 413),
     (QuotaExceededError("x"), 429),

@@ -1,7 +1,7 @@
 """Loopback regression for W503's dynamic counterpart: no leaked
 threads, sockets or file descriptors after a serving session.
 
-``repro wire`` proves the lifecycle statically; these tests prove it
+The wire analyzer proves the lifecycle statically; these tests prove it
 dynamically on a real socket — after an exception-path request (the
 kind that used to bypass cleanup) and after a ``--max-requests``
 budget shutdown, the process is back to its baseline thread count and

@@ -4,29 +4,27 @@ This is the enforcement point for the reproduction invariants documented
 in DESIGN.md: determinism (R001), the estimator contract (R002), Table 1
 conformance (R003), exception hygiene (R004) and export sync (R005).
 A failure here means a change drifted away from the paper's protocol —
-run ``repro lint`` for the full report.
+run ``repro check --tools lint`` for the full report.
 """
 
-from pathlib import Path
 
-import repro
-from repro.tools.lint import lint_paths
+def lint_result(source_tree):
+    assert "lint" not in source_tree.report.crashes, \
+        source_tree.report.crashes.get("lint")
+    return source_tree.report.results["lint"]
 
-SOURCE_ROOT = Path(repro.__file__).resolve().parent
 
-
-def test_source_tree_has_no_unsuppressed_violations():
-    result = lint_paths([SOURCE_ROOT])
+def test_source_tree_has_no_unsuppressed_violations(source_tree):
+    result = lint_result(source_tree)
     report = "\n".join(
         f"{v.location}: {v.code} {v.message}" for v in result.unsuppressed
     )
-    assert result.unsuppressed == [], f"repro lint found:\n{report}"
+    assert result.unsuppressed == [], f"repro check found:\n{report}"
     assert result.n_files > 50  # the whole tree was actually scanned
 
 
-def test_every_suppression_carries_a_reason():
-    result = lint_paths([SOURCE_ROOT])
-    for violation in result.suppressed:
+def test_every_suppression_carries_a_reason(source_tree):
+    for violation in lint_result(source_tree).suppressed:
         assert violation.reason, (
             f"{violation.location}: suppressed {violation.code} without a "
             "reason (use '# repro: disable=CODE -- why')"

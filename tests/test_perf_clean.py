@@ -7,47 +7,43 @@ cache-bypassing repeated pure fits on search paths (P304), estimator
 complexities matching the checked-in ``complexity_spec.py`` (P305), and
 allocation-free hot loops in the compiled substrate (P306).  A failure
 here means a change regressed a hot path or altered an estimator's cost
-class without recording it — run ``repro perf`` for the full report;
-genuinely loop-shaped code needs a ``# repro: disable=P3xx -- why``
-comment stating the performance argument, and intentional complexity
-changes are recorded with ``repro perf --update-spec``.
+class without recording it — run ``repro check --tools perf`` for the
+full report; genuinely loop-shaped code needs a ``# repro: disable=P3xx
+-- why`` comment stating the performance argument, and intentional
+complexity changes are recorded with ``repro check --update-spec perf``.
 """
 
-from pathlib import Path
-
-import repro
-from repro.tools.perf import perf_paths
-
-SOURCE_ROOT = Path(repro.__file__).resolve().parent
+from repro.tools.check import get_analyzer
 
 
-def test_source_tree_has_no_unsuppressed_perf_violations():
-    result = perf_paths([SOURCE_ROOT])
+def perf_result(source_tree):
+    assert "perf" not in source_tree.report.crashes, \
+        source_tree.report.crashes.get("perf")
+    return source_tree.report.results["perf"]
+
+
+def test_source_tree_has_no_unsuppressed_perf_violations(source_tree):
+    result = perf_result(source_tree)
     report = "\n".join(
         f"{v.location}: {v.code} {v.message}" for v in result.unsuppressed
     )
-    assert result.unsuppressed == [], f"repro perf found:\n{report}"
+    assert result.unsuppressed == [], f"repro check found:\n{report}"
     assert result.n_files > 50  # the whole tree was actually scanned
 
 
-def test_every_perf_suppression_carries_a_reason():
-    result = perf_paths([SOURCE_ROOT])
-    for violation in result.suppressed:
+def test_every_perf_suppression_carries_a_reason(source_tree):
+    for violation in perf_result(source_tree).suppressed:
         assert violation.reason, (
             f"{violation.location}: suppressed {violation.code} without a "
             "reason (use '# repro: disable=CODE -- why')"
         )
 
 
-def test_the_analyzer_still_sees_the_hot_code():
+def test_the_analyzer_still_sees_the_hot_code(source_tree):
     # Guard against the gate passing vacuously: the loop model must
     # cover the substrate's known loops and the documented suppressions
-    # must be the ones this PR negotiated with the analyzer.
-    from repro.tools.flow.runner import build_flow_index
-    from repro.tools.perf.loops import build_loop_model
-
-    index = build_flow_index([SOURCE_ROOT])
-    model = build_loop_model(index)
+    # must be the ones negotiated with the analyzer.
+    model = get_analyzer("perf").model(source_tree.loaded)
 
     kendall = model.functions[
         ("repro.learn.feature_selection.filters", "kendall_score")
@@ -65,21 +61,18 @@ def test_the_analyzer_still_sees_the_hot_code():
     ]
     assert forest_fit.get("estimators", 0) >= 1
 
-    result = perf_paths([SOURCE_ROOT])
-    suppressed_codes = {v.code for v in result.suppressed}
+    suppressed_codes = {v.code for v in perf_result(source_tree).suppressed}
     assert "P301" in suppressed_codes  # kendall/mutual-info column loops
     assert "P304" in suppressed_codes  # per-fold fits on distinct rows
 
 
-def test_checked_in_spec_matches_a_fresh_derivation():
+def test_checked_in_spec_matches_a_fresh_derivation(source_tree):
     from repro.tools.perf.complexity import derive_complexity, load_spec
-    from repro.tools.flow.runner import build_flow_index
-    from repro.tools.perf.loops import build_loop_model
 
     spec = load_spec()
     assert spec, "complexity_spec.py is missing or empty"
-    derived = derive_complexity(build_loop_model(build_flow_index([SOURCE_ROOT])))
+    derived = derive_complexity(get_analyzer("perf").model(source_tree.loaded))
     assert derived == spec, (
         "derived complexity drifted from complexity_spec.py; "
-        "run `repro perf --update-spec` to record an intentional change"
+        "run `repro check --update-spec perf` to record an intentional change"
     )

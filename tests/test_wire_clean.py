@@ -9,46 +9,42 @@ site (W504), no indefinitely blocking call reachable from a gateway
 handler (W505), and a ``/metrics/summary`` surface matching the spec
 (W506).  A failure here means a change moved the HTTP surface, raised
 a new unmapped error kind, or leaked a resource without recording or
-fixing it — run ``repro wire`` for the full report; intentional
-contract changes are recorded with ``repro wire --update-spec``.
+fixing it — run ``repro check --tools wire`` for the full report;
+intentional contract changes are recorded with ``repro check
+--update-spec wire``.
 """
 
-from pathlib import Path
-
-import repro
-from repro.tools.wire import wire_paths
-
-SOURCE_ROOT = Path(repro.__file__).resolve().parent
+from repro.tools.check import get_analyzer
 
 
-def test_source_tree_has_no_unsuppressed_wire_violations():
-    result = wire_paths([SOURCE_ROOT])
+def wire_result(source_tree):
+    assert "wire" not in source_tree.report.crashes, \
+        source_tree.report.crashes.get("wire")
+    return source_tree.report.results["wire"]
+
+
+def test_source_tree_has_no_unsuppressed_wire_violations(source_tree):
+    result = wire_result(source_tree)
     report = "\n".join(
         f"{v.location}: {v.code} {v.message}" for v in result.unsuppressed
     )
-    assert result.unsuppressed == [], f"repro wire found:\n{report}"
+    assert result.unsuppressed == [], f"repro check found:\n{report}"
     assert result.n_files > 50  # the whole tree was actually scanned
 
 
-def test_every_wire_suppression_carries_a_reason():
-    result = wire_paths([SOURCE_ROOT])
-    for violation in result.suppressed:
+def test_every_wire_suppression_carries_a_reason(source_tree):
+    for violation in wire_result(source_tree).suppressed:
         assert violation.reason, (
             f"{violation.location}: suppressed {violation.code} without a "
             "reason (use '# repro: disable=CODE -- why')"
         )
 
 
-def test_the_analyzer_still_sees_the_serving_layer():
+def test_the_analyzer_still_sees_the_serving_layer(source_tree):
     # Guard against the gate passing vacuously: the wire model must
     # really derive the gateway's route table, the client's
     # expectations, and the protocol's taxonomy.
-    from repro.tools.flow.runner import build_flow_index
-    from repro.tools.shape.arrays import build_shape_model
-    from repro.tools.wire.wiremodel import build_wire_model
-
-    index = build_flow_index([SOURCE_ROOT])
-    model = build_wire_model(index, build_shape_model(index))
+    model = get_analyzer("wire").model(source_tree.loaded)
 
     routes = model.routes()
     assert "GET /health" in routes
@@ -67,26 +63,24 @@ def test_the_analyzer_still_sees_the_serving_layer():
     # because the analyzer lost sight of the raise sites.
     assert model.taxonomies, "no ERROR_STATUS/KIND_TO_ERROR module found"
     mapped = set(model.taxonomies[0].kind_to_error)
-    assert "NotFittedError" in mapped  # the PR-10 dogfood fix
+    assert "NotFittedError" in mapped
     assert "ValidationError" in model.raised_kinds
     assert "DeadlineExceededError" in model.constructed_kinds
 
 
-def test_checked_in_spec_matches_a_fresh_derivation():
-    from repro.tools.flow.runner import build_flow_index
-    from repro.tools.shape.arrays import build_shape_model
-    from repro.tools.wire.spec import derive_wire_spec, load_spec
-    from repro.tools.wire.spec import DEFAULT_SPEC_PATH
-    from repro.tools.wire.wiremodel import build_wire_model
+def test_checked_in_spec_matches_a_fresh_derivation(source_tree):
+    from repro.tools.wire.spec import (
+        DEFAULT_SPEC_PATH,
+        derive_wire_spec,
+        load_spec,
+    )
 
     spec = load_spec(DEFAULT_SPEC_PATH)
     assert spec, "wire_spec.py is missing or empty"
     assert len(spec["routes"]) >= 11  # the serving surface, Table-1 style
     assert len(spec["client"]) >= 10
-    index = build_flow_index([SOURCE_ROOT])
-    derived = derive_wire_spec(build_wire_model(index,
-                                                build_shape_model(index)))
+    derived = derive_wire_spec(get_analyzer("wire").model(source_tree.loaded))
     assert derived == spec, (
         "derived wire contract drifted from wire_spec.py; run "
-        "`repro wire --update-spec` to record an intentional change"
+        "`repro check --update-spec wire` to record an intentional change"
     )

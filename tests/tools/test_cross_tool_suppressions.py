@@ -1,18 +1,13 @@
 """Cross-tool suppression round-trip: one comment syntax, six analyzers.
 
-``repro lint``, ``repro flow``, ``repro race``, ``repro perf``,
-``repro shape``, and ``repro wire`` share the ``# repro: disable=CODE
--- reason`` syntax in one source tree, so each tool must treat the
-other tools' codes as *known* (no R000 unknown-code finding) while
-still reporting a genuinely unknown code.
+The six analyzers share the ``# repro: disable=CODE -- reason`` syntax
+in one source tree, so each must treat the other analyzers' codes as
+*known* (no R000 unknown-code finding) while still reporting a genuinely
+unknown code.  The known codes are the registry's rule codes.
 """
 
-from repro.tools.flow import flow_paths
-from repro.tools.lint import lint_paths
-from repro.tools.perf import perf_paths
-from repro.tools.race import race_paths
-from repro.tools.shape import shape_paths
-from repro.tools.wire import wire_paths
+from repro.tools.check import ANALYZERS, TOOL_NAMES, known_codes, run_analyzer
+from repro.tools.lint import lint_source
 
 
 def write_tree(tmp_path, body):
@@ -22,6 +17,12 @@ def write_tree(tmp_path, body):
 
 def r000_messages(result):
     return [v.message for v in result.unsuppressed if v.code == "R000"]
+
+
+def accepts_every_other_code(tmp_path, name):
+    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
+    result = run_analyzer(name, [tree], root=tree, context_paths=())
+    assert r000_messages(result) == []
 
 
 SOURCE_WITH_COMPANION_SUPPRESSIONS = '''\
@@ -42,39 +43,27 @@ def work(items):
 
 
 def test_lint_accepts_flow_race_perf_and_shape_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = lint_paths([tree], root=tree)
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "lint")
 
 
 def test_flow_accepts_lint_race_perf_and_shape_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = flow_paths([tree], root=tree, context_paths=())
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "flow")
 
 
 def test_race_accepts_lint_flow_perf_and_shape_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = race_paths([tree], root=tree, context_paths=())
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "race")
 
 
 def test_perf_accepts_lint_flow_race_and_shape_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = perf_paths([tree], root=tree, context_paths=())
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "perf")
 
 
 def test_shape_accepts_lint_flow_race_and_perf_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = shape_paths([tree], root=tree, context_paths=())
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "shape")
 
 
 def test_wire_accepts_the_other_five_tools_codes(tmp_path):
-    tree = write_tree(tmp_path, SOURCE_WITH_COMPANION_SUPPRESSIONS)
-    result = wire_paths([tree], root=tree, context_paths=())
-    assert r000_messages(result) == []
+    accepts_every_other_code(tmp_path, "wire")
 
 
 def test_all_six_tools_reject_a_truly_unknown_code(tmp_path):
@@ -83,14 +72,22 @@ def test_all_six_tools_reject_a_truly_unknown_code(tmp_path):
         '__all__ = []\n\n'
         'VALUE = 1  # repro: disable=Z999 -- no tool owns this code\n'
     ))
-    for runner, kwargs in (
-        (lint_paths, {}),
-        (flow_paths, {"context_paths": ()}),
-        (race_paths, {"context_paths": ()}),
-        (perf_paths, {"context_paths": ()}),
-        (shape_paths, {"context_paths": ()}),
-        (wire_paths, {"context_paths": ()}),
-    ):
-        result = runner([tree], root=tree, **kwargs)
+    for name in TOOL_NAMES:
+        result = run_analyzer(name, [tree], root=tree, context_paths=())
         messages = r000_messages(result)
-        assert any("Z999" in message for message in messages), runner
+        assert any("Z999" in message for message in messages), name
+
+
+def test_every_rule_code_of_the_registry_is_known():
+    codes = {rule.code for analyzer in ANALYZERS
+             for rule in analyzer.rules(None, None)}
+    assert len(codes) == 34
+    assert known_codes() == codes | {"R000"}
+
+
+def test_lint_source_shares_the_registry_vocabulary():
+    result = lint_source(SOURCE_WITH_COMPANION_SUPPRESSIONS, "mod.py")
+    assert r000_messages(result) == []
+    result = lint_source("VALUE = 1  # repro: disable=Z999 -- nobody\n",
+                         "mod.py")
+    assert any("Z999" in message for message in r000_messages(result))

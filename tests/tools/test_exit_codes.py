@@ -1,10 +1,10 @@
-"""The shared exit-code taxonomy, enforced across all six analyzers.
+"""The shared exit-code taxonomy, enforced for every analyzer selection.
 
-Every CLI — ``repro lint``/``flow``/``race``/``perf``/``shape``/
-``wire`` plus the combined ``repro check`` driver — must agree on what
-its exit code means: 0 clean, 1 findings, 2 usage error, 3 the
-analyzer itself crashed.  CI and the pre-commit hook branch on these,
-so they are part of the tools' contract, not an implementation detail.
+``repro check`` — the whole suite or one analyzer through ``--tools`` —
+must agree on what its exit code means: 0 clean, 1 findings, 2 usage
+error, 3 the analyzer itself crashed.  CI and the pre-commit hook branch
+on these, so they are part of the tools' contract, not an
+implementation detail.
 """
 
 import io
@@ -14,12 +14,7 @@ import pytest
 
 import repro.cli
 import repro.tools.check.cli as check_cli
-import repro.tools.flow.cli as flow_cli
-import repro.tools.lint.cli as lint_cli
-import repro.tools.perf.cli as perf_cli
-import repro.tools.race.cli as race_cli
-import repro.tools.shape.cli as shape_cli
-import repro.tools.wire.cli as wire_cli
+from repro.tools.check import TOOL_NAMES
 from repro.tools.exitcodes import (
     EXIT_CLEAN,
     EXIT_CRASH,
@@ -28,85 +23,75 @@ from repro.tools.exitcodes import (
     run_guarded,
 )
 
-FIXTURES = Path(__file__).resolve().parent / "perf_fixtures"
+FIXTURES = Path(__file__).resolve().parent
 
-CLIS = [
-    pytest.param(lint_cli, "run_lint_command", id="lint"),
-    pytest.param(flow_cli, "run_flow_command", id="flow"),
-    pytest.param(race_cli, "run_race_command", id="race"),
-    pytest.param(perf_cli, "run_perf_command", id="perf"),
-    pytest.param(shape_cli, "run_shape_command", id="shape"),
-    pytest.param(wire_cli, "run_wire_command", id="wire"),
-]
-
-#: ``repro check`` shares the taxonomy but has no ``--list-rules``.
-ALL_CLIS = CLIS + [
-    pytest.param(check_cli, "run_check_command", id="check"),
-]
-
+#: ``--tools`` arguments, one per analyzer, plus the whole suite.
+SELECTIONS = [pytest.param(["--tools", name], id=name) for name in TOOL_NAMES]
+ALL_SELECTIONS = SELECTIONS + [pytest.param([], id="check")]
 
 def test_the_taxonomy_constants():
     assert (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, EXIT_CRASH) == (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("cli,command_name", ALL_CLIS)
-def test_nonexistent_path_is_usage_error_everywhere(cli, command_name):
-    code = cli.main(["definitely/not/a/path"], out=io.StringIO())
+@pytest.mark.parametrize("selection", ALL_SELECTIONS)
+def test_nonexistent_path_is_usage_error_everywhere(selection):
+    code = check_cli.main(["definitely/not/a/path", *selection],
+                          out=io.StringIO())
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("cli,command_name", CLIS)
-def test_list_rules_is_clean_everywhere(cli, command_name):
-    code = cli.main(["--list-rules"], out=io.StringIO())
+@pytest.mark.parametrize("selection", SELECTIONS)
+def test_list_rules_is_clean_everywhere(selection):
+    out = io.StringIO()
+    code = check_cli.main(["--list-rules", *selection], out=out)
     assert code == EXIT_CLEAN
+    assert out.getvalue()
 
 
-@pytest.mark.parametrize("cli,command_name", ALL_CLIS)
-def test_analyzer_crash_is_exit_3_everywhere(cli, command_name,
-                                             monkeypatch, capsys):
+@pytest.mark.parametrize("selection", ALL_SELECTIONS)
+def test_analyzer_crash_is_exit_3_everywhere(selection, monkeypatch, capsys):
     def boom(args, out=None):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr(cli, command_name, boom)
-    code = cli.main([str(FIXTURES / "p301_axis_loop")], out=io.StringIO())
+    monkeypatch.setattr(check_cli, "run_check_command", boom)
+    code = check_cli.main(
+        [str(FIXTURES / "perf_fixtures" / "p301_axis_loop"), *selection],
+        out=io.StringIO())
     assert code == EXIT_CRASH
     err = capsys.readouterr().err
     assert "internal error" in err
     assert "synthetic analyzer crash" in err  # traceback reaches the user
 
 
-@pytest.mark.parametrize("subcommand", ["lint", "flow", "race", "perf",
-                                        "shape", "wire", "check"])
-def test_repro_cli_propagates_usage_errors(subcommand):
+@pytest.mark.parametrize("selection", ALL_SELECTIONS)
+def test_repro_cli_propagates_usage_errors(selection):
     code = repro.cli.main(
-        [subcommand, "definitely/not/a/path"], out=io.StringIO())
+        ["check", "definitely/not/a/path", *selection], out=io.StringIO())
     assert code == EXIT_USAGE
 
 
+def findings_exit(fixture, *selection):
+    return check_cli.main([str(FIXTURES / fixture), *selection],
+                          out=io.StringIO())
+
+
 def test_findings_exit_one_through_the_perf_cli():
-    code = perf_cli.main([str(FIXTURES / "p302_growth")], out=io.StringIO())
-    assert code == EXIT_FINDINGS
+    assert findings_exit("perf_fixtures/p302_growth",
+                         "--tools", "perf") == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_shape_cli():
-    fixtures = FIXTURES.parent / "shape_fixtures"
-    code = shape_cli.main(
-        [str(fixtures / "s401_shape")], out=io.StringIO())
-    assert code == EXIT_FINDINGS
+    assert findings_exit("shape_fixtures/s401_shape",
+                         "--tools", "shape") == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_wire_cli():
-    fixtures = FIXTURES.parent / "wire_fixtures"
-    code = wire_cli.main(
-        [str(fixtures / "w503_lifecycle")], out=io.StringIO())
-    assert code == EXIT_FINDINGS
+    assert findings_exit("wire_fixtures/w503_lifecycle",
+                         "--tools", "wire") == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_check_cli():
-    fixtures = FIXTURES.parent / "wire_fixtures"
-    code = check_cli.main(
-        [str(fixtures / "w503_lifecycle")], out=io.StringIO())
-    assert code == EXIT_FINDINGS
+    assert findings_exit("wire_fixtures/w503_lifecycle") == EXIT_FINDINGS
 
 
 def test_run_guarded_reraises_control_flow_exits():

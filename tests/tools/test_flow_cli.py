@@ -1,4 +1,4 @@
-"""Tests for the ``repro flow`` command-line front ends and exit codes."""
+"""The flow analyzer through ``repro check --tools flow``."""
 
 import io
 import json
@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 import repro.cli
-from repro.tools.flow.cli import main as flow_main
+from repro.tools.check.cli import main as check_main
+from repro.tools.lint.reporters import render_text
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
@@ -16,8 +17,12 @@ FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
 
 def run_main(argv):
     out = io.StringIO()
-    code = flow_main(argv, out=out)
+    code = check_main([*argv, "--tools", "flow"], out=out)
     return code, out.getvalue()
+
+
+def flow_report(output):
+    return json.loads(output)["tools"]["flow"]
 
 
 def test_list_rules_prints_all_five_families():
@@ -32,10 +37,10 @@ def test_nonexistent_path_is_a_usage_error():
     assert code == 2
 
 
-def test_clean_tree_exits_zero():
-    code, output = run_main([str(REPO_SRC / "repro")])
-    assert code == 0
-    assert "0 violations" in output
+def test_clean_tree_exits_zero(source_tree):
+    result = source_tree.report.results["flow"]
+    assert result.exit_code == 0
+    assert "0 violations" in render_text(result)
 
 
 def test_violating_fixture_exits_one_with_json_report(tmp_path):
@@ -43,14 +48,15 @@ def test_violating_fixture_exits_one_with_json_report(tmp_path):
     # the other families because F105 needs --spec to find drift.
     spec = tmp_path / "spec.json"
     code, _ = run_main([
-        str(FIXTURES / "f103_seed"), "--update-spec", "--spec", str(spec),
+        str(FIXTURES / "f103_seed"), "--update-spec", "flow",
+        "--spec", str(spec),
     ])
     assert code == 0 and spec.exists()
     code, output = run_main([
         str(FIXTURES / "f103_seed"), "--format", "json", "--spec", str(spec),
     ])
     assert code == 1
-    report = json.loads(output)
+    report = flow_report(output)
     assert report["summary"]["exit_code"] == 1
     codes = {v["code"] for v in report["violations"]}
     assert codes == {"F103"}
@@ -60,7 +66,8 @@ def test_update_spec_then_rerun_is_clean(tmp_path):
     spec = tmp_path / "api_spec.json"
     fixture = tmp_path / "tree"
     shutil.copytree(FIXTURES / "f105_drift" / "repro", fixture / "repro")
-    code, output = run_main([str(fixture), "--update-spec", "--spec", str(spec)])
+    code, output = run_main([str(fixture), "--update-spec", "flow",
+                             "--spec", str(spec)])
     assert code == 0
     assert "wrote API surface" in output
     code, _ = run_main([str(fixture), "--spec", str(spec)])
@@ -77,13 +84,14 @@ def test_update_spec_then_rerun_is_clean(tmp_path):
         str(fixture), "--spec", str(spec), "--format", "json",
     ])
     assert code == 1
-    report = json.loads(output)
+    report = flow_report(output)
     assert any(v["code"] == "F105" for v in report["violations"])
 
 
 def test_python_dash_m_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.tools.flow", "--list-rules"],
+        [sys.executable, "-m", "repro.tools.check", "--list-rules",
+         "--tools", "flow"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -93,7 +101,8 @@ def test_python_dash_m_entry_point():
 
 def test_repro_cli_flow_subcommand():
     out = io.StringIO()
-    code = repro.cli.main(["flow", "--list-rules"], out=out)
+    code = repro.cli.main(["check", "--tools", "flow", "--list-rules"],
+                          out=out)
     assert code == 0
     assert "F104" in out.getvalue()
 

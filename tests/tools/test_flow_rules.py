@@ -9,7 +9,7 @@ fixture analyses.
 
 from pathlib import Path
 
-from repro.tools.flow import flow_paths
+from repro.tools.check import run_analyzer
 from repro.tools.flow.rules import (
     ApiDriftRule,
     DeadCodeRule,
@@ -22,8 +22,8 @@ FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
 
 
 def run_fixture(name, rules, spec_path=None):
-    return flow_paths(
-        [FIXTURES / name], rules=rules,
+    return run_analyzer(
+        "flow", [FIXTURES / name], rules=rules,
         root=FIXTURES / name, spec_path=spec_path, context_paths=(),
     )
 
@@ -148,12 +148,10 @@ def test_f105_missing_spec_is_reported():
 
 def test_f105_update_spec_round_trip(tmp_path):
     from repro.tools.flow.apispec import extract_surface, load_spec, write_spec
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.indexing import load_indexed_project
 
     spec_path = tmp_path / "api_spec.json"
-    index = build_flow_index(
-        [FIXTURES / "f105_drift"], context_paths=(),
-    )
+    index = load_indexed_project([FIXTURES / "f105_drift"]).index
     write_spec(extract_surface(index), spec_path)
     # Freshly written spec: drift rule is silent.
     result = run_fixture("f105_drift", [ApiDriftRule(spec_path=spec_path)])

@@ -11,7 +11,9 @@ from repro.tools.indexing import (
     load_indexed_project,
 )
 
-SOURCE_ROOT = Path(repro.__file__).resolve().parent
+#: A real subtree with code for every analyzer's model (the serving
+#: layer's gateway and client included), analyzed without context.
+SERVING_ROOT = Path(repro.__file__).resolve().parent / "serving"
 
 
 @pytest.fixture(autouse=True)
@@ -75,72 +77,57 @@ def test_different_context_paths_are_distinct_entries(tmp_path):
 
 
 def test_all_six_analyzers_share_one_parse_of_the_real_tree():
-    from repro.tools.flow import flow_paths
-    from repro.tools.perf import perf_paths
-    from repro.tools.race import race_paths
-    from repro.tools.shape import shape_paths
-    from repro.tools.wire import wire_paths
+    from repro.tools.check import TOOL_NAMES, run_analyzer
 
-    flow_paths([SOURCE_ROOT])
-    after_flow = index_cache_info()
-    race_paths([SOURCE_ROOT])
-    after_race = index_cache_info()
-    assert after_race["misses"] == after_flow["misses"]  # no re-parse
-    assert after_race["hits"] > after_flow["hits"]
-    perf_paths([SOURCE_ROOT])
-    after_perf = index_cache_info()
-    assert after_perf["misses"] == after_flow["misses"]  # still one parse
-    assert after_perf["hits"] > after_race["hits"]
-    shape_paths([SOURCE_ROOT])
-    after_shape = index_cache_info()
-    assert after_shape["misses"] == after_flow["misses"]  # still one parse
-    assert after_shape["hits"] > after_perf["hits"]
-    wire_paths([SOURCE_ROOT])
-    after_wire = index_cache_info()
-    assert after_wire["misses"] == after_flow["misses"]  # still one parse
-    assert after_wire["hits"] > after_shape["hits"]
+    hits = []
+    for name in TOOL_NAMES:
+        run_analyzer(name, [SERVING_ROOT], context_paths=())
+        info = index_cache_info()
+        assert info["misses"] == 1  # one parse, whichever tool ran first
+        hits.append(info["hits"])
+    assert hits == sorted(set(hits))  # every later tool was a cache hit
+
+
+def _memoized_model(name):
+    from repro.tools.check import get_analyzer, run_analyzer
+
+    run_analyzer(name, [SERVING_ROOT], context_paths=())
+    loaded = load_indexed_project([SERVING_ROOT])
+    model = get_analyzer(name).model(loaded)
+    assert model is get_analyzer(name).model(loaded)  # once per cache entry
+    return loaded, model
 
 
 def test_perf_memoizes_its_loop_model_on_the_shared_entry():
-    from repro.tools.perf import perf_paths
-
-    perf_paths([SOURCE_ROOT])
-    loaded = load_indexed_project([SOURCE_ROOT])
-    model = loaded.loop_model()
-    assert model is loaded.loop_model()  # built once per cache entry
-    assert loaded.loop_model().functions  # and actually populated
+    loaded, model = _memoized_model("perf")
+    assert model.functions  # and actually populated
 
 
 def test_shape_memoizes_its_shape_model_on_the_shared_entry():
-    from repro.tools.shape import shape_paths
+    from repro.tools.check import get_analyzer
 
-    shape_paths([SOURCE_ROOT])
-    loaded = load_indexed_project([SOURCE_ROOT])
-    model = loaded.shape_model()
-    assert model is loaded.shape_model()  # built once per cache entry
-    assert loaded.shape_model().functions  # and actually populated
+    loaded, model = _memoized_model("shape")
+    assert model.functions  # and actually populated
     # Loop and shape models coexist on one entry without eviction.
-    assert loaded.loop_model() is loaded.loop_model()
+    perf_loaded, _ = _memoized_model("perf")
+    assert perf_loaded is loaded
+    assert get_analyzer("shape").model(loaded) is model
 
 
 def test_wire_memoizes_its_wire_model_on_the_shared_entry():
-    from repro.tools.wire import wire_paths
+    from repro.tools.check import get_analyzer
 
-    wire_paths([SOURCE_ROOT])
-    loaded = load_indexed_project([SOURCE_ROOT])
-    model = loaded.wire_model()
-    assert model is loaded.wire_model()  # built once per cache entry
+    loaded, model = _memoized_model("wire")
     assert model.gateways and model.clients  # and actually populated
     # The wire model consumes the shape model, so one wire run warms
     # both on the same entry.
-    assert loaded.shape_model() is loaded.shape_model()
-    assert model.shape_model is loaded.shape_model()
+    assert model.shape_model is get_analyzer("shape").model(loaded)
 
 
 def test_check_runs_the_whole_suite_on_one_parse():
     from repro.tools.check import run_check
 
-    report = run_check([SOURCE_ROOT])
+    report = run_check([SERVING_ROOT], context_paths=())
     assert tuple(report.results) == (
         "lint", "flow", "race", "perf", "shape", "wire",
     )

@@ -1,4 +1,4 @@
-"""Exit-code contract of ``repro lint`` / ``python -m repro.tools.lint``."""
+"""Exit-code contract of the lint analyzer through ``repro check``."""
 
 import io
 import json
@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from repro.cli import main as repro_main
-from repro.tools.lint.cli import main as lint_main
+from repro.tools.check.cli import main as check_main
 
 _CLEAN = '__all__ = ["CONSTANT"]\n\nCONSTANT = 1\n'
 
@@ -27,6 +27,10 @@ def _run(main, argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def lint_main(argv, out=None):
+    return check_main([*argv, "--tools", "lint"], out=out)
 
 
 @pytest.fixture()
@@ -76,7 +80,7 @@ def test_exit_two_on_bad_flag(capsys):
 def test_json_format_is_parseable(dirty_file):
     code, output = _run(lint_main, ["--format", "json", str(dirty_file)])
     assert code == 1
-    payload = json.loads(output)
+    payload = json.loads(output)["tools"]["lint"]
     assert payload["summary"]["exit_code"] == 1
     assert payload["violations"][0]["code"] == "R001"
 
@@ -89,5 +93,6 @@ def test_list_rules_mentions_every_family():
 
 
 def test_repro_cli_exposes_lint_subcommand(clean_file, dirty_file):
-    assert _run(repro_main, ["lint", str(clean_file)])[0] == 0
-    assert _run(repro_main, ["lint", str(dirty_file)])[0] == 1
+    lint = ["check", "--tools", "lint"]
+    assert _run(repro_main, [*lint, str(clean_file)])[0] == 0
+    assert _run(repro_main, [*lint, str(dirty_file)])[0] == 1

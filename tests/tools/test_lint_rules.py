@@ -214,6 +214,43 @@ def test_r003_live_spec_matches_vendor_modules():
         assert platform.classifier_abbrs() == [c.abbr for c in entry.classifiers]
 
 
+def test_r003_reads_the_spec_without_importing_the_platforms():
+    """R003 loads ``table1_spec.py`` by file: no simulators, no numpy."""
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    drifted = textwrap.dedent(_DEMO_MODULE.format(complexity=7, param="C")
+                              .replace('"demo"', '"google"'))
+    script = textwrap.dedent(f"""
+        import json, sys
+        from repro.tools.check import run_check
+        from repro.tools.lint import lint_source
+
+        report = run_check([{str(src / "repro" / "platforms")!r}])
+        drift = lint_source({drifted!r}).unsuppressed
+        print(json.dumps({{
+            "crashed": sorted(report.crashes),
+            "lint": report.results["lint"].exit_code,
+            "drift": [v.message for v in drift if v.code == "R003"],
+            "loaded": [name for name in ("repro.platforms.base",
+                                         "repro.learn", "numpy")
+                       if name in sys.modules],
+        }}))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout)
+    assert outcome["crashed"] == [] and outcome["lint"] == 0
+    assert any("complexity 7" in message for message in outcome["drift"])
+    assert outcome["loaded"] == []
+
+
 # -- R004 exception hygiene --------------------------------------------------
 
 def test_r004_flags_bare_except():

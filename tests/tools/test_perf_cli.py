@@ -1,4 +1,4 @@
-"""Tests for the ``repro perf`` command-line front ends and exit codes."""
+"""The perf analyzer through ``repro check --tools perf``: exit codes."""
 
 import io
 import json
@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import repro.cli
-from repro.tools.perf.cli import main as perf_main
+from repro.tools.check.cli import main as check_main
+from repro.tools.lint.reporters import render_text
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "perf_fixtures"
@@ -17,8 +18,12 @@ P_CODES = ("P301", "P302", "P303", "P304", "P305", "P306")
 
 def run_main(argv):
     out = io.StringIO()
-    code = perf_main(argv, out=out)
+    code = check_main([*argv, "--tools", "perf"], out=out)
     return code, out.getvalue()
+
+
+def perf_report(output):
+    return json.loads(output)["tools"]["perf"]
 
 
 def test_list_rules_prints_all_six_rules():
@@ -33,10 +38,10 @@ def test_nonexistent_path_is_a_usage_error():
     assert code == 2
 
 
-def test_clean_tree_exits_zero():
-    code, output = run_main([str(REPO_SRC / "repro")])
-    assert code == 0
-    assert "0 violations" in output
+def test_clean_tree_exits_zero(source_tree):
+    result = source_tree.report.results["perf"]
+    assert result.exit_code == 0
+    assert "0 violations" in render_text(result)
 
 
 def test_violating_fixture_exits_one_with_json_report():
@@ -44,7 +49,7 @@ def test_violating_fixture_exits_one_with_json_report():
         str(FIXTURES / "p301_axis_loop"), "--format", "json",
     ])
     assert code == 1
-    report = json.loads(output)
+    report = perf_report(output)
     assert report["summary"]["exit_code"] == 1
     codes = {v["code"] for v in report["violations"]}
     assert codes == {"P301"}
@@ -54,7 +59,8 @@ def test_violating_fixture_exits_one_with_json_report():
 
 def test_python_dash_m_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.tools.perf", "--list-rules"],
+        [sys.executable, "-m", "repro.tools.check", "--list-rules",
+         "--tools", "perf"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -64,7 +70,8 @@ def test_python_dash_m_entry_point():
 
 def test_repro_cli_perf_subcommand():
     out = io.StringIO()
-    code = repro.cli.main(["perf", "--list-rules"], out=out)
+    code = repro.cli.main(["check", "--tools", "perf", "--list-rules"],
+                          out=out)
     assert code == 0
     assert "P306" in out.getvalue()
 
@@ -104,7 +111,8 @@ def test_update_spec_round_trips(tmp_path):
     pkg = FIXTURES / "p305_spec" / "pkg"
     spec = tmp_path / "spec.py"
 
-    code, output = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
+    update = ["--update-spec", "perf", "--spec", str(spec), str(pkg)]
+    code, output = run_main(update)
     assert code == 0
     assert "wrote derived complexity of 1 estimator(s)" in output
     first = spec.read_text(encoding="utf-8")
@@ -114,11 +122,11 @@ def test_update_spec_round_trips(tmp_path):
     code, output = run_main([
         str(pkg), "--spec", str(spec), "--format", "json",
     ])
-    report = json.loads(output)
+    report = perf_report(output)
     assert "P305" not in {v["code"] for v in report["violations"]}
 
     # Regenerating is a fixed point: byte-identical output.
-    code, _ = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
+    code, _ = run_main(update)
     assert code == 0
     assert spec.read_text(encoding="utf-8") == first
 

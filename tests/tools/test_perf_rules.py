@@ -10,7 +10,7 @@ directory above the analyzed package so the specs are data, not input.
 
 from pathlib import Path
 
-from repro.tools.perf import perf_paths
+from repro.tools.check import run_analyzer
 from repro.tools.perf.rules import (
     AxisLoopRule,
     ComplexitySpecRule,
@@ -24,8 +24,8 @@ FIXTURES = Path(__file__).resolve().parent / "perf_fixtures"
 
 
 def run_fixture(name, rules, spec_path=None):
-    return perf_paths(
-        [FIXTURES / name], rules=rules,
+    return run_analyzer(
+        "perf", [FIXTURES / name], rules=rules,
         root=FIXTURES / name, context_paths=(), spec_path=spec_path,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the ``repro race`` command-line front ends and exit codes."""
+"""The race analyzer through ``repro check --tools race``: exit codes."""
 
 import io
 import json
@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import repro.cli
-from repro.tools.race.cli import main as race_main
+from repro.tools.check.cli import main as check_main
+from repro.tools.lint.reporters import render_text
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "race_fixtures"
@@ -17,8 +18,12 @@ C_CODES = ("C201", "C202", "C203", "C204", "C205", "C206")
 
 def run_main(argv):
     out = io.StringIO()
-    code = race_main(argv, out=out)
+    code = check_main([*argv, "--tools", "race"], out=out)
     return code, out.getvalue()
+
+
+def race_report(output):
+    return json.loads(output)["tools"]["race"]
 
 
 def test_list_rules_prints_all_six_rules():
@@ -33,10 +38,10 @@ def test_nonexistent_path_is_a_usage_error():
     assert code == 2
 
 
-def test_clean_tree_exits_zero():
-    code, output = run_main([str(REPO_SRC / "repro")])
-    assert code == 0
-    assert "0 violations" in output
+def test_clean_tree_exits_zero(source_tree):
+    result = source_tree.report.results["race"]
+    assert result.exit_code == 0
+    assert "0 violations" in render_text(result)
 
 
 def test_violating_fixture_exits_one_with_json_report():
@@ -44,7 +49,7 @@ def test_violating_fixture_exits_one_with_json_report():
         str(FIXTURES / "c203_check_then_act"), "--format", "json",
     ])
     assert code == 1
-    report = json.loads(output)
+    report = race_report(output)
     assert report["summary"]["exit_code"] == 1
     codes = {v["code"] for v in report["violations"]}
     assert codes == {"C203"}
@@ -54,7 +59,8 @@ def test_violating_fixture_exits_one_with_json_report():
 
 def test_python_dash_m_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.tools.race", "--list-rules"],
+        [sys.executable, "-m", "repro.tools.check", "--list-rules",
+         "--tools", "race"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -64,7 +70,8 @@ def test_python_dash_m_entry_point():
 
 def test_repro_cli_race_subcommand():
     out = io.StringIO()
-    code = repro.cli.main(["race", "--list-rules"], out=out)
+    code = repro.cli.main(["check", "--tools", "race", "--list-rules"],
+                          out=out)
     assert code == 0
     assert "C206" in out.getvalue()
 

@@ -9,7 +9,7 @@ of the fixture analyses.
 
 from pathlib import Path
 
-from repro.tools.race import race_paths
+from repro.tools.check import run_analyzer
 from repro.tools.race.rules import (
     BlockingUnderLockRule,
     CheckThenActRule,
@@ -23,8 +23,8 @@ FIXTURES = Path(__file__).resolve().parent / "race_fixtures"
 
 
 def run_fixture(name, rules):
-    return race_paths(
-        [FIXTURES / name], rules=rules,
+    return run_analyzer(
+        "race", [FIXTURES / name], rules=rules,
         root=FIXTURES / name, context_paths=(),
     )
 

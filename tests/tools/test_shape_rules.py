@@ -13,7 +13,7 @@ by dotted module prefix.
 
 from pathlib import Path
 
-from repro.tools.shape import shape_paths
+from repro.tools.check import run_analyzer
 from repro.tools.shape.rules import (
     AliasMutationRule,
     BoundaryValidationRule,
@@ -27,8 +27,8 @@ FIXTURES = Path(__file__).resolve().parent / "shape_fixtures"
 
 
 def run_fixture(name, rules, spec_path=None):
-    return shape_paths(
-        [FIXTURES / name], rules=rules,
+    return run_analyzer(
+        "shape", [FIXTURES / name], rules=rules,
         root=FIXTURES / name, context_paths=(), spec_path=spec_path,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the ``repro wire`` command-line front ends and exit codes."""
+"""The wire analyzer through ``repro check --tools wire``: exit codes."""
 
 import io
 import json
@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import repro.cli
-from repro.tools.wire.cli import main as wire_main
+from repro.tools.check.cli import main as check_main
+from repro.tools.lint.reporters import render_text
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "wire_fixtures"
@@ -17,8 +18,12 @@ W_CODES = ("W501", "W502", "W503", "W504", "W505", "W506")
 
 def run_main(argv):
     out = io.StringIO()
-    code = wire_main(argv, out=out)
+    code = check_main([*argv, "--tools", "wire"], out=out)
     return code, out.getvalue()
+
+
+def wire_report(output):
+    return json.loads(output)["tools"]["wire"]
 
 
 def test_list_rules_prints_all_six_rules():
@@ -33,10 +38,10 @@ def test_nonexistent_path_is_a_usage_error():
     assert code == 2
 
 
-def test_clean_tree_exits_zero():
-    code, output = run_main([str(REPO_SRC / "repro")])
-    assert code == 0
-    assert "0 violations" in output
+def test_clean_tree_exits_zero(source_tree):
+    result = source_tree.report.results["wire"]
+    assert result.exit_code == 0
+    assert "0 violations" in render_text(result)
 
 
 def test_violating_fixture_exits_one_with_json_report():
@@ -44,7 +49,7 @@ def test_violating_fixture_exits_one_with_json_report():
         str(FIXTURES / "w503_lifecycle"), "--format", "json",
     ])
     assert code == 1
-    report = json.loads(output)
+    report = wire_report(output)
     assert report["summary"]["exit_code"] == 1
     codes = {v["code"] for v in report["violations"]}
     assert codes == {"W503"}
@@ -54,7 +59,8 @@ def test_violating_fixture_exits_one_with_json_report():
 
 def test_python_dash_m_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.tools.wire", "--list-rules"],
+        [sys.executable, "-m", "repro.tools.check", "--list-rules",
+         "--tools", "wire"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -64,7 +70,8 @@ def test_python_dash_m_entry_point():
 
 def test_repro_cli_wire_subcommand():
     out = io.StringIO()
-    code = repro.cli.main(["wire", "--list-rules"], out=out)
+    code = repro.cli.main(["check", "--tools", "wire", "--list-rules"],
+                          out=out)
     assert code == 0
     assert "W506" in out.getvalue()
 
@@ -103,7 +110,8 @@ def test_update_spec_round_trips(tmp_path):
     pkg = FIXTURES / "w501_contract" / "pkg"
     spec = tmp_path / "spec.py"
 
-    code, output = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
+    update = ["--update-spec", "wire", "--spec", str(spec), str(pkg)]
+    code, output = run_main(update)
     assert code == 0
     assert "wrote derived wire contract (2 route(s), 4 client method(s), " \
         "0 error kind(s))" in output
@@ -115,12 +123,12 @@ def test_update_spec_round_trips(tmp_path):
     code, output = run_main([
         str(pkg), "--spec", str(spec), "--format", "json",
     ])
-    report = json.loads(output)
+    report = wire_report(output)
     messages = [v["message"] for v in report["violations"]]
     assert not any("spec" in message for message in messages)
 
     # Regenerating is a fixed point: byte-identical output.
-    code, _ = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
+    code, _ = run_main(update)
     assert code == 0
     assert spec.read_text(encoding="utf-8") == first
 
@@ -130,22 +138,9 @@ def test_fixture_spec_match_is_update_spec_output(tmp_path):
     # the drift fixtures stay one recorded fact away from reality.
     pkg = FIXTURES / "w506_metrics" / "pkg"
     spec = tmp_path / "spec.py"
-    code, _ = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
+    code, _ = run_main(["--update-spec", "wire", "--spec", str(spec),
+                        str(pkg)])
     assert code == 0
     assert spec.read_text(encoding="utf-8") == \
         (FIXTURES / "w506_metrics" / "spec_match.py").read_text(
             encoding="utf-8")
-
-
-def test_checked_in_spec_is_the_update_spec_fixed_point(tmp_path):
-    # Rederiving the real tree's wire contract must reproduce the
-    # committed spec byte for byte, so `--update-spec` never churns.
-    from repro.tools.wire.spec import DEFAULT_SPEC_PATH
-
-    spec = tmp_path / "spec.py"
-    code, _ = run_main([
-        "--update-spec", "--spec", str(spec), str(REPO_SRC / "repro"),
-    ])
-    assert code == 0
-    assert spec.read_text(encoding="utf-8") == \
-        DEFAULT_SPEC_PATH.read_text(encoding="utf-8")

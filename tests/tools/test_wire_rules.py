@@ -14,7 +14,7 @@ modules by dotted name.
 
 from pathlib import Path
 
-from repro.tools.wire import wire_paths
+from repro.tools.check import run_analyzer
 from repro.tools.wire.rules import (
     BlockingHandlerRule,
     EncodeSafetyRule,
@@ -32,8 +32,8 @@ NO_SPEC = FIXTURES / "no_such_spec.py"
 
 
 def run_fixture(name, rules, spec_path=NO_SPEC):
-    return wire_paths(
-        [FIXTURES / name], rules=rules,
+    return run_analyzer(
+        "wire", [FIXTURES / name], rules=rules,
         root=FIXTURES / name, context_paths=(), spec_path=spec_path,
     )
 
