@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.tools.flow.graph import CallSite, FlowIndex, FunctionInfo, dotted_path
 
@@ -81,6 +82,11 @@ class _Scope:
     root: ast.AST
     params: tuple = ()
     key: tuple = ("", "")
+
+    @cached_property
+    def nodes(self) -> list:
+        """The scope's own nodes (see :func:`_scope_nodes`), walked once."""
+        return list(_scope_nodes(self.root))
 
 
 def _scope_nodes(root: ast.AST):
@@ -275,14 +281,14 @@ class _ScopeAnalysis:
     def run(self) -> None:
         for _ in range(_MAX_ROUNDS):
             changed = False
-            for node in _scope_nodes(self.scope.root):
+            for node in self.scope.nodes:
                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                     changed |= self._handle_assign(node)
                 elif isinstance(node, ast.For):
                     changed |= self._handle_for(node)
             if not changed:
                 break
-        for node in _scope_nodes(self.scope.root):
+        for node in self.scope.nodes:
             if isinstance(node, ast.Return):
                 self.returns |= self.eval(node.value)
             elif isinstance(node, ast.Call):
@@ -364,7 +370,8 @@ def _scopes(index: FlowIndex):
 def analyze_project_taint(index: FlowIndex) -> list:
     """Fixpoint the function summaries, then collect project findings."""
     state = _ProjectTaint()
-    function_scopes = [s for s in _scopes(index) if s.key in index.functions]
+    scopes = list(_scopes(index))
+    function_scopes = [s for s in scopes if s.key in index.functions]
     for _ in range(_MAX_ROUNDS):
         changed = False
         for scope in function_scopes:
@@ -377,7 +384,7 @@ def analyze_project_taint(index: FlowIndex) -> list:
         if not changed:
             break
     seen = set()
-    for scope in _scopes(index):
+    for scope in scopes:
         analysis = _ScopeAnalysis(index, scope, state.summaries)
         analysis.run()
         for finding in analysis.findings():

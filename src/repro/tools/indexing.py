@@ -16,6 +16,14 @@ analyzed files (resolved path, mtime, size).  Editing any analyzed file
 invalidates the entry, so a long-lived test session never sees a stale
 index, while back-to-back flow and race runs over the same tree share
 one parse and one index build.
+
+Derived facts follow one contract: they are lazy, read-only, and live
+on the :class:`~repro.tools.lint.engine.Project`, the
+:class:`~repro.tools.lint.engine.ModuleInfo` objects or the analyzer
+models (:meth:`IndexedProject.memo`) of one cache entry, so they die
+with it.  Each is built on first use inside a check, never while the
+index is built: the module node lists, the class table and its
+subclass closures, and every analyzer model.
 """
 
 from __future__ import annotations

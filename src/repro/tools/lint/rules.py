@@ -61,10 +61,10 @@ def _dotted_path(node: ast.expr) -> tuple | None:
     return None
 
 
-def _import_bindings(tree: ast.Module) -> dict:
+def _import_bindings(module: ModuleInfo) -> dict:
     """Map local name -> dotted origin for every import in the module."""
     bindings: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -109,8 +109,8 @@ class DeterminismRule(Rule):
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Violation]:
         """Scan one module for unseeded RNG constructions."""
-        bindings = _import_bindings(module.tree)
-        for node in ast.walk(module.tree):
+        bindings = _import_bindings(module)
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             path = _dotted_path(node.func)
@@ -587,7 +587,7 @@ def _resolve_name(node: ast.Name, module: ModuleInfo, project: Project, depth: i
     value = module.top_level_assign(node.id)
     if value is not None:
         return _resolve(value, module, project, depth + 1)
-    imports = _import_bindings(module.tree)
+    imports = _import_bindings(module)
     origin = imports.get(node.id)
     if origin is not None and "." in origin:
         origin_module, _, origin_name = origin.rpartition(".")
@@ -678,11 +678,11 @@ class ExceptionHygieneRule(Rule):
         allowed = set(_BUILTIN_EXCEPTIONS)
         allowed |= project.subclasses_of({"ReproError"}) | {"ReproError"}
         for module in project.modules:
-            imports = _import_bindings(module.tree)
+            imports = _import_bindings(module)
             for local, origin in imports.items():
                 if origin.startswith("repro.exceptions."):
                     allowed.add(local)
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, ast.ExceptHandler):
                     yield from self._check_handler(module, node)
                 elif isinstance(node, ast.Raise):

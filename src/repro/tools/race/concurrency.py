@@ -1000,7 +1000,7 @@ def build_concurrency(index: FlowIndex) -> ConcurrencyIndex:
         model = _ModuleModel(module, con)
         model.collect()
         for info in index.functions.values():
-            if info.module_name == module.dotted_name:
+            if info.module_name == model.name:
                 _analyze_function(model, con, call_targets, info)
     _resolve_thread_targets(con)
     return con

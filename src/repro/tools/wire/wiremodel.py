@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.tools.flow.graph import FlowIndex, dotted_path
 
@@ -241,9 +242,18 @@ class WireModel:
             merged.update(client.entries)
         return merged
 
+    @cached_property
+    def _bases(self) -> dict:
+        """Class name -> tuple of base names, across the analyzed project."""
+        bases: dict = {}
+        for name, entries in self.index.project.class_defs().items():
+            for _, _, base_names in entries:
+                bases.setdefault(name, base_names)
+        return bases
+
     def status_for_kind(self, kind: str) -> int:
         """HTTP status of an error kind via the taxonomy and base chain."""
-        bases = _base_map(self.index)
+        bases = self._bases
         seen: set = set()
         while kind and kind not in seen:
             seen.add(kind)
@@ -253,15 +263,6 @@ class WireModel:
             kind = next((base for base in bases.get(kind, ())
                          if base in self.error_names), None)
         return 500
-
-
-def _base_map(index: FlowIndex) -> dict:
-    """Class name -> tuple of base names, across the analyzed project."""
-    bases: dict = {}
-    for name, entries in index.project.class_defs().items():
-        for _, _, base_names in entries:
-            bases.setdefault(name, base_names)
-    return bases
 
 
 # ----------------------------------------------------------------------
@@ -800,7 +801,7 @@ def _find_taxonomy(module) -> TaxonomyModel | None:
 
 def _collect_error_sites(model: WireModel) -> None:
     for module in model.index.project.modules:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Raise):
                 exc = node.exc
                 name = None

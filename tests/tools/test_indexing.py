@@ -147,3 +147,133 @@ def test_callers_must_copy_parse_violations(tmp_path):
     again = load_indexed_project([tree], root=tree)
     assert again.parse_violations == loaded.parse_violations
     assert len(again.parse_violations) == 1
+
+
+# -- derived facts: computed once per entry, never shared across entries --
+
+#: Every analyzer fixture directory, analyzed in isolation below.
+FIXTURE_DIRS = sorted(
+    path for path in Path(__file__).resolve().parent.glob("*_fixtures/*")
+    if path.is_dir()
+)
+
+
+def _check_json(report) -> str:
+    from repro.tools.check.cli import _merged_json
+
+    return _merged_json(report, show_suppressed=True)
+
+
+def _isolated_json(target) -> str:
+    """Each analyzer alone on a fresh entry, merged as ``repro check`` would."""
+    from repro.tools.check import CheckReport, TOOL_NAMES, run_check
+
+    merged = CheckReport()
+    for name in TOOL_NAMES:
+        clear_index_cache()
+        report = run_check([target], context_paths=(), tools=[name])
+        merged.n_files = report.n_files
+        merged.results.update(report.results)
+        merged.crashes.update(report.crashes)
+    return _check_json(merged)
+
+
+@pytest.mark.parametrize(
+    "target", [SERVING_ROOT, *FIXTURE_DIRS],
+    ids=lambda path: "/".join(path.parts[-2:]),
+)
+def test_shared_entry_renders_what_isolated_analyzers_render(target):
+    from repro.tools.check import run_check
+
+    shared = _check_json(run_check([target], context_paths=()))
+    assert index_cache_info()["misses"] == 1
+    assert _isolated_json(target) == shared
+
+
+def _taxonomy_tree(path, base):
+    """Two modules named as in every such tree; ``Foreign`` derives from ``base``."""
+    path.mkdir()
+    (path / "errors.py").write_text(
+        '"""Errors."""\n\n__all__ = ["Foreign", "ReproError"]\n\n\n'
+        "class ReproError(Exception):\n    pass\n\n\n"
+        f"class Foreign({base}):\n    pass\n",
+        encoding="utf-8",
+    )
+    (path / "use.py").write_text(
+        '"""Use."""\n\nfrom errors import Foreign\n\n__all__ = ["fail"]\n\n\n'
+        "def fail():\n    raise Foreign()\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_derived_facts_do_not_leak_across_entries(tmp_path):
+    import json
+
+    from repro.tools.check import run_check
+
+    # Same module and class names, different hierarchies: R004 flags the
+    # raise only where ``Foreign`` is outside the ReproError family, so a
+    # class table kept by name rather than per entry shows in a report.
+    foreign = _taxonomy_tree(tmp_path / "foreign", "Exception")
+    family = _taxonomy_tree(tmp_path / "family", "ReproError")
+
+    def render(target):
+        return _check_json(run_check([target], root=target, context_paths=()))
+
+    def r004(text):
+        return [v for v in json.loads(text)["tools"]["lint"]["violations"]
+                if v["code"] == "R004"]
+
+    first = render(foreign)
+    assert [v["path"] for v in r004(first)] == ["use.py"]
+    assert r004(render(family)) == []
+    assert render(foreign) == first
+
+
+def test_check_walks_each_module_tree_at_most_once(monkeypatch):
+    import ast
+    from collections import Counter
+
+    from repro.tools.check import run_check
+
+    loaded = load_indexed_project([SERVING_ROOT], context_paths=())
+    trees = {id(module.tree) for module in loaded.project.modules}
+    walks = Counter()
+    walk = ast.walk
+
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walks[id(node)] += 1
+        return walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    report = run_check([SERVING_ROOT], context_paths=())
+    monkeypatch.undo()
+    assert not report.crashes
+    assert index_cache_info()["misses"] == 1  # the index built above
+    assert set(walks) <= trees
+    assert max(walks.values()) == 1
+    project = loaded.project
+    assert project.class_defs() is project.class_defs()
+    assert project.subclasses_of(["ReproError"]) \
+        is project.subclasses_of({"ReproError"})
+
+
+def test_appending_a_module_invalidates_the_class_table(tmp_path):
+    from repro.tools.lint.engine import Project, load_module
+
+    (tmp_path / "base.py").write_text("class Root:\n    pass\n",
+                                      encoding="utf-8")
+    (tmp_path / "child.py").write_text("class Leaf(Root):\n    pass\n",
+                                       encoding="utf-8")
+    project = Project()
+    project.modules.append(load_module(tmp_path / "base.py")[0])
+    table = project.class_defs()
+    assert set(table) == {"Root"}
+    assert project.subclasses_of(["Root"]) == set()
+
+    project.modules.append(load_module(tmp_path / "child.py")[0])
+    assert set(project.class_defs()) == {"Root", "Leaf"}
+    assert project.class_defs() is not table
+    assert project.subclasses_of(["Root"]) == {"Leaf"}
