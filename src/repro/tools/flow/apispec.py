@@ -164,8 +164,8 @@ def diff_surfaces(spec: dict, current: dict) -> list:
     for name in sorted(set(current_modules) - set(spec_modules)):
         drift.append((name, None,
                       f"public module {name!r} is not recorded in "
-                      "api_spec.json; run 'repro flow --update-spec' if the "
-                      "addition is intentional"))
+                      "api_spec.json; run 'repro check --update-spec flow' "
+                      "if the addition is intentional"))
     for name in sorted(set(spec_modules) & set(current_modules)):
         want, got = spec_modules[name], current_modules[name]
         missing = sorted(set(want["exports"]) - set(got["exports"]))

@@ -505,8 +505,8 @@ class ApiDriftRule(FlowRule):
     name = "api-drift"
     description = (
         "exported names, signatures, and estimator params must match "
-        "api_spec.json; use 'repro flow --update-spec' for intentional "
-        "changes"
+        "api_spec.json; use 'repro check --update-spec flow' for "
+        "intentional changes"
     )
 
     def __init__(self, index: FlowIndex | None = None, spec_path=None):
@@ -526,7 +526,7 @@ class ApiDriftRule(FlowRule):
                 violation = self._violation(
                     anchor, 1, 0,
                     f"no API spec at {self.spec_path}; run "
-                    "'repro flow --update-spec' to record the surface",
+                    "'repro check --update-spec flow' to record the surface",
                 )
                 if violation is not None:
                     yield violation

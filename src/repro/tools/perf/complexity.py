@@ -43,7 +43,7 @@ DEFAULT_SPEC_PATH = Path(__file__).resolve().parent / "complexity_spec.py"
 _SPEC_METHODS = ("fit", "predict")
 
 _HEADER = '''\
-"""Checked-in loop-nest complexity spec (regenerate: ``repro perf --update-spec``).
+"""Checked-in loop-nest complexity spec (regenerate: ``repro check --update-spec perf``).
 
 Static analogue of the paper's Table 1: for every estimator in the
 analyzed tree, the derived maximum loop-nest depth of ``fit`` and

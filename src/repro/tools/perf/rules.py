@@ -210,7 +210,7 @@ class ComplexitySpecRule(PerfRule):
     description = (
         "Each estimator's fit/predict loop-nest depth over "
         f"{SPEC_DIMS} is derived from the loop model and compared "
-        "against complexity_spec.py; run `repro perf --update-spec` "
+        "against complexity_spec.py; run `repro check --update-spec perf` "
         "to record an intentional change."
     )
 
@@ -238,7 +238,7 @@ class ComplexitySpecRule(PerfRule):
                 code=self.code,
                 message=(
                     "complexity spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro perf --update-spec`"
+                    f"{self.spec_path}; run `repro check --update-spec perf`"
                 ),
                 path=spec_relpath,
                 line=1,
@@ -256,8 +256,8 @@ class ComplexitySpecRule(PerfRule):
                     code=self.code,
                     message=(
                         f"estimator {class_path} is not in the complexity "
-                        "spec; run `repro perf --update-spec` to record "
-                        f"its derived cost {derived[class_path]!r}"
+                        "spec; run `repro check --update-spec perf` to "
+                        f"record its derived cost {derived[class_path]!r}"
                     ),
                     path=relpath, line=line,
                 )
@@ -268,8 +268,8 @@ class ComplexitySpecRule(PerfRule):
                         f"derived complexity of {class_path} "
                         f"({derived[class_path]!r}) disagrees with the "
                         f"spec ({spec[class_path]!r}); vectorize back to "
-                        "the recorded depth or run `repro perf "
-                        "--update-spec` to accept the change"
+                        "the recorded depth or run `repro check "
+                        "--update-spec perf` to accept the change"
                     ),
                     path=relpath, line=line,
                 )
@@ -281,8 +281,8 @@ class ComplexitySpecRule(PerfRule):
                     code=self.code,
                     message=(
                         f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro perf "
-                        "--update-spec` to drop it"
+                        "estimator (renamed or removed); run `repro check "
+                        "--update-spec perf` to drop it"
                     ),
                     path=spec_relpath, line=1,
                 )

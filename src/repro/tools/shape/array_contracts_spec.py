@@ -1,4 +1,4 @@
-"""Checked-in estimator array contracts (regenerate: ``repro shape --update-spec``).
+"""Checked-in estimator array contracts (regenerate: ``repro check --update-spec shape``).
 
 The array-level analogue of the paper's Table 1: for every estimator in
 the analyzed tree, the symbolic input shapes of its

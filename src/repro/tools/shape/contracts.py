@@ -44,7 +44,7 @@ DEFAULT_SPEC_PATH = Path(__file__).resolve().parent / \
 _ENTRY_KEYS = ("in", "validates", "out", "out_dtype")
 
 _HEADER = '''\
-"""Checked-in estimator array contracts (regenerate: ``repro shape --update-spec``).
+"""Checked-in estimator array contracts (regenerate: ``repro check --update-spec shape``).
 
 The array-level analogue of the paper's Table 1: for every estimator in
 the analyzed tree, the symbolic input shapes of its

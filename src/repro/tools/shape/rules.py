@@ -238,8 +238,8 @@ class ContractSpecRule(ShapeRule):
         "Each estimator's fit/predict/predict_proba/transform array "
         "contract (input shapes, validated parameters, return "
         "shape/dtype) is derived from the shape model and compared "
-        "against array_contracts_spec.py; run `repro shape "
-        "--update-spec` to record an intentional change."
+        "against array_contracts_spec.py; run `repro check "
+        "--update-spec shape` to record an intentional change."
     )
 
     def __init__(self, model: ShapeModel | None = None,
@@ -266,7 +266,7 @@ class ContractSpecRule(ShapeRule):
                 code=self.code,
                 message=(
                     "array-contract spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro shape --update-spec`"
+                    f"{self.spec_path}; run `repro check --update-spec shape`"
                 ),
                 path=spec_relpath,
                 line=1,
@@ -286,8 +286,8 @@ class ContractSpecRule(ShapeRule):
                     code=self.code,
                     message=(
                         f"estimator {class_path} is not in the "
-                        "array-contract spec; run `repro shape "
-                        "--update-spec` to record its derived contract"
+                        "array-contract spec; run `repro check "
+                        "--update-spec shape` to record its derived contract"
                     ),
                     path=relpath, line=line,
                 )
@@ -303,8 +303,8 @@ class ContractSpecRule(ShapeRule):
                     message=(
                         f"derived array contract of {class_path} "
                         f"disagrees with the spec on {', '.join(changed)}; "
-                        "restore the recorded contract or run `repro "
-                        "shape --update-spec` to accept the change"
+                        "restore the recorded contract or run `repro check "
+                        "--update-spec shape` to accept the change"
                     ),
                     path=relpath, line=line,
                 )
@@ -316,8 +316,8 @@ class ContractSpecRule(ShapeRule):
                     code=self.code,
                     message=(
                         f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro "
-                        "shape --update-spec` to drop it"
+                        "estimator (renamed or removed); run `repro check "
+                        "--update-spec shape` to drop it"
                     ),
                     path=spec_relpath, line=1,
                 )

@@ -100,7 +100,7 @@ class RouteConformanceRule(_SpecRule):
         "(paths, methods, statuses, request/response JSON fields) and "
         "the expectations derived from the HTTP client must agree "
         "with each other and with the checked-in wire_spec.py; run "
-        "`repro wire --update-spec` to record an intentional change."
+        "`repro check --update-spec wire` to record an intentional change."
     )
 
     def check_project(self, project: Project) -> Iterable[Violation]:
@@ -164,7 +164,7 @@ class RouteConformanceRule(_SpecRule):
                 code=self.code,
                 message=(
                     "wire spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro wire --update-spec`"
+                    f"{self.spec_path}; run `repro check --update-spec wire`"
                 ),
                 path=self._spec_relpath(), line=1,
             )
@@ -180,7 +180,7 @@ class RouteConformanceRule(_SpecRule):
                     code=self.code,
                     message=(
                         f"route `{key}` is not in the wire spec; run "
-                        "`repro wire --update-spec` to record it"
+                        "`repro check --update-spec wire` to record it"
                     ),
                     path=relpath, line=line,
                 )
@@ -196,8 +196,8 @@ class RouteConformanceRule(_SpecRule):
                     message=(
                         f"derived contract of route `{key}` disagrees "
                         f"with the spec on {', '.join(changed)}; restore "
-                        "the recorded contract or run `repro wire "
-                        "--update-spec` to accept the change"
+                        "the recorded contract or run `repro check "
+                        "--update-spec wire` to accept the change"
                     ),
                     path=relpath, line=line,
                 )
@@ -206,8 +206,8 @@ class RouteConformanceRule(_SpecRule):
                 code=self.code,
                 message=(
                     f"spec route `{key}` matches no route derived from "
-                    "the server (renamed or removed); run `repro wire "
-                    "--update-spec` to drop it"
+                    "the server (renamed or removed); run `repro check "
+                    "--update-spec wire` to drop it"
                 ),
                 path=spec_relpath, line=1,
             )
@@ -225,7 +225,7 @@ class RouteConformanceRule(_SpecRule):
                     code=self.code,
                     message=(
                         f"client method {name}() is not in the wire "
-                        "spec; run `repro wire --update-spec` to "
+                        "spec; run `repro check --update-spec wire` to "
                         "record it"
                     ),
                     path=relpath, line=line,
@@ -242,8 +242,8 @@ class RouteConformanceRule(_SpecRule):
                     message=(
                         f"derived expectation of client method {name}() "
                         f"disagrees with the spec on {', '.join(changed)}; "
-                        "run `repro wire --update-spec` to accept the "
-                        "change"
+                        "run `repro check --update-spec wire` to accept "
+                        "the change"
                     ),
                     path=relpath, line=line,
                 )
@@ -252,8 +252,8 @@ class RouteConformanceRule(_SpecRule):
                 code=self.code,
                 message=(
                     f"spec client method {name}() matches no derived "
-                    "client method (renamed or removed); run `repro "
-                    "wire --update-spec` to drop it"
+                    "client method (renamed or removed); run `repro check "
+                    "--update-spec wire` to drop it"
                 ),
                 path=spec_relpath, line=1,
             )
@@ -371,8 +371,8 @@ class ErrorTaxonomyRule(_SpecRule):
                     message=(
                         f"error kind {kind} maps to status "
                         f"{derived.get(kind)} but the wire spec records "
-                        f"{spec_errors.get(kind)}; run `repro wire "
-                        "--update-spec` to accept the change"
+                        f"{spec_errors.get(kind)}; run `repro check "
+                        "--update-spec wire` to accept the change"
                     ),
                     path=taxonomy.relpath, line=line,
                 )
@@ -442,7 +442,7 @@ class MetricsSpecRule(_SpecRule):
         "the /metrics/summary document keys derived from the gateway "
         "must match the wire spec's metrics section, so dashboards "
         "and the bench harness never chase renamed metrics; run "
-        "`repro wire --update-spec` to accept an intentional rename."
+        "`repro check --update-spec wire` to accept an intentional rename."
     )
 
     def check_project(self, project: Project) -> Iterable[Violation]:
@@ -472,7 +472,7 @@ class MetricsSpecRule(_SpecRule):
                         f"metrics surface of {gateway.class_name} "
                         "disagrees with the wire spec on "
                         f"{', '.join(changed)}; restore the recorded "
-                        "names or run `repro wire --update-spec` to "
+                        "names or run `repro check --update-spec wire` to "
                         "accept the rename"
                     ),
                     path=gateway.relpath, line=gateway.line,

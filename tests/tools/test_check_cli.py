@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,3 +285,37 @@ def test_hotspots_close_the_perf_section_of_the_whole_suite():
     assert output.count("hotspot(s)") == 1
     code, as_json = run_main([fixture, "--top", "2", "--format", "json"])
     assert "hotspot" not in as_json  # a text-report section only
+
+
+# -- messages name the one front end ----------------------------------------
+
+#: The per-analyzer commands that ``repro check`` replaced.
+DELETED_COMMANDS = re.compile(
+    r"\brepro (?:lint|flow|race|perf|shape|wire)\b"
+    r"|\bpython -m repro\.tools\.(?:lint|flow|race|perf|shape|wire)\b"
+)
+
+
+def _strings(path):
+    """Every string literal of a Python file (adjacent literals joined)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
+
+
+def test_no_string_under_tools_names_a_deleted_subcommand():
+    tools = REPO_SRC / "repro" / "tools"
+    stale = []
+    for path in sorted(tools.rglob("*")):
+        if path.suffix == ".py":
+            strings = _strings(path)
+        elif path.suffix == ".json":
+            strings = enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+        else:
+            continue
+        stale += [f"{path.relative_to(tools)}:{line}: {match.group()}"
+                  for line, text in strings
+                  for match in DELETED_COMMANDS.finditer(text)]
+    assert stale == []
