@@ -22,10 +22,11 @@ not false alarms.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.tools.lint.engine import ModuleInfo, Project
+from repro.tools.lint.engine import ModuleInfo, Project, dotted_path
 
 __all__ = [
     "CallSite",
@@ -37,18 +38,6 @@ __all__ = [
     "dotted_path",
     "import_bindings",
 ]
-
-
-def dotted_path(node: ast.expr) -> tuple | None:
-    """``a.b.c`` -> ``("a", "b", "c")``; ``None`` for non-name expressions."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
 
 @dataclass(frozen=True)
@@ -72,13 +61,16 @@ def _resolve_relative(package: str, module: str | None, level: int) -> str | Non
     return ".".join(base) if base else None
 
 
-def import_bindings(module: ModuleInfo) -> dict:
-    """Map local name -> :class:`_Binding` for every import in ``module``."""
+def import_bindings(module: ModuleInfo, nodes: Iterable | None = None) -> dict:
+    """Map local name -> :class:`_Binding` for every import in ``module``.
+
+    ``nodes``: its nodes (or imports) in ``ast.walk`` order; :attr:`ModuleInfo.nodes` if omitted.
+    """
     package = module.dotted_name
     if not module.path.name == "__init__.py":
         package = package.rpartition(".")[0]
     bindings: dict[str, _Binding] = {}
-    for node in ast.walk(module.tree):
+    for node in module.nodes if nodes is None else nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -204,14 +196,9 @@ class FlowIndex:
             return None
         if binding.symbol is None:
             return None  # bound a module object, not a symbol
-        target = binding.module
-        if target in self.modules:
-            return self.resolve_symbol(target, binding.symbol, depth + 1)
-        # ``from repro.pkg import submodule`` — the "symbol" is a module.
-        sub = f"{target}.{binding.symbol}"
-        if sub in self.modules:
-            return None
-        return None
+        if binding.module in self.modules:
+            return self.resolve_symbol(binding.module, binding.symbol, depth + 1)
+        return None  # outside the project, or ``from pkg import submodule``
 
     def resolve_function(self, module_name: str, name: str):
         """Resolve a called name to a :class:`FunctionInfo` (or class init).
@@ -254,10 +241,6 @@ class FlowIndex:
                 return found
         return None
 
-    def module_of(self, module_name: str) -> ModuleInfo | None:
-        """The parsed module for a dotted name, if it was analyzed."""
-        return self.modules.get(module_name)
-
     def project_target(self, binding: _Binding) -> str | None:
         """Dotted project module a binding points into, if any."""
         target = binding.module
@@ -273,17 +256,31 @@ class FlowIndex:
         return target or None
 
 
-def _collect_symbols(index: FlowIndex, module: ModuleInfo) -> None:
+def _collect_top_level(index: FlowIndex, module: ModuleInfo, scopes: dict) -> None:
+    """Record ``module``'s symbols, functions, methods and classes.
+
+    ``scopes`` maps each top-level def and class, and each indexed method,
+    to its call list: ``None`` for a class body or a replaced def.
+    """
     name = module.dotted_name
+    defined: dict = {}
     for node in module.tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            kind = "class" if isinstance(node, ast.ClassDef) else "function"
+            index.symbols[(name, node.name)] = SymbolDef(
+                name, node.name, kind, node.lineno, node.col_offset,
+            )
+            scopes[node] = None
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            index.symbols[(name, node.name)] = SymbolDef(
-                name, node.name, "function", node.lineno, node.col_offset,
-            )
+            defined[(name, node.name)] = FunctionInfo(name, node.name, node)
         elif isinstance(node, ast.ClassDef):
-            index.symbols[(name, node.name)] = SymbolDef(
-                name, node.name, "class", node.lineno, node.col_offset,
-            )
+            index.classes[(name, node.name)] = node
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = f"{node.name}.{item.name}"
+                    defined[(name, qualname)] = FunctionInfo(
+                        name, qualname, item, class_name=node.name,
+                    )
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 for target_name in _target_names(target):
@@ -304,6 +301,9 @@ def _collect_symbols(index: FlowIndex, module: ModuleInfo) -> None:
                 index.symbols[(name, local)] = SymbolDef(
                     name, local, "import", node.lineno, node.col_offset,
                 )
+    index.functions.update(defined)
+    for info in defined.values():
+        scopes[info.node] = []
 
 
 def _target_names(target: ast.expr) -> Iterator[str]:
@@ -314,55 +314,55 @@ def _target_names(target: ast.expr) -> Iterator[str]:
             yield from _target_names(element)
 
 
-def _collect_functions(index: FlowIndex, module: ModuleInfo) -> None:
-    name = module.dotted_name
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            index.functions[(name, node.name)] = FunctionInfo(name, node.name, node)
+def _walk_module(module: ModuleInfo, scopes: dict) -> tuple:
+    """Walk ``module`` once, in ``ast.walk`` order: ``(imports, body_calls)``.
+
+    A call goes to the list of its innermost enclosing node in ``scopes``
+    (dropped when that is ``None``), else to the body's.  Each import is
+    paired with ``deferred``: whether it sits strictly inside a ``def``.
+    """
+    body: list = []
+    imports: list = []
+    todo = deque([(module.tree, body, False)])
+    while todo:
+        node, sites, deferred = todo.popleft()
+        if isinstance(node, ast.Call):
+            if sites is not None:
+                sites.append(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append((node, deferred))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            sites, deferred = scopes.get(node, sites), True
         elif isinstance(node, ast.ClassDef):
-            index.classes[(name, node.name)] = node
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = f"{node.name}.{item.name}"
-                    index.functions[(name, qualname)] = FunctionInfo(
-                        name, qualname, item, class_name=node.name,
-                    )
+            sites = scopes.get(node, sites)
+        todo.extend([(child, sites, deferred) for child in ast.iter_child_nodes(node)])
+    return imports, body
 
 
-def _collect_import_edges(index: FlowIndex, module: ModuleInfo) -> None:
+def _add_import_edges(index: FlowIndex, module: ModuleInfo, imports: list) -> None:
     source = module.dotted_name
     package = source if module.path.name == "__init__.py" \
         else source.rpartition(".")[0]
-    in_function = {
-        child
-        for node in ast.walk(module.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for child in ast.walk(node)
-        if child is not node
-    }
-    for node in ast.walk(module.tree):
-        deferred = node in in_function
+    for node, deferred in imports:
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                target = _project_module_prefix(index, alias.name)
-                if target is not None:
-                    index.import_edges.append(ImportEdge(
-                        source, target, node.lineno, node.col_offset,
-                        deferred=deferred,
-                    ))
-        elif isinstance(node, ast.ImportFrom):
+            targets = [_project_module_prefix(index, alias.name)
+                       for alias in node.names]
+        else:
             base = _resolve_relative(package, node.module, node.level)
             if base is None:
                 continue
-            for alias in node.names:
-                candidate = f"{base}.{alias.name}" if alias.name != "*" else base
-                target = (_project_module_prefix(index, candidate)
-                          or _project_module_prefix(index, base))
-                if target is not None:
-                    index.import_edges.append(ImportEdge(
-                        source, target, node.lineno, node.col_offset,
-                        deferred=deferred,
-                    ))
+            targets = [
+                _project_module_prefix(
+                    index, f"{base}.{alias.name}" if alias.name != "*" else base)
+                or _project_module_prefix(index, base)
+                for alias in node.names
+            ]
+        for target in targets:
+            if target is not None:
+                index.import_edges.append(ImportEdge(
+                    source, target, node.lineno, node.col_offset,
+                    deferred=deferred,
+                ))
 
 
 def _project_module_prefix(index: FlowIndex, dotted: str) -> str | None:
@@ -372,30 +372,6 @@ def _project_module_prefix(index: FlowIndex, dotted: str) -> str | None:
             return dotted
         dotted = dotted.rpartition(".")[0]
     return None
-
-
-def _collect_calls(index: FlowIndex, module: ModuleInfo) -> None:
-    module_name = module.dotted_name
-    for info in list(index.functions.values()):
-        if info.module_name != module_name:
-            continue
-        sites = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                sites.append(_resolve_call(index, module_name, info, node))
-        index.calls[info.key] = sites
-    # Module body (everything outside function/class defs) as pseudo-scope.
-    body_calls = []
-    inside = {
-        child
-        for top in module.tree.body
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        for child in ast.walk(top)
-    }
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call) and node not in inside:
-            body_calls.append(_resolve_call(index, module_name, None, node))
-    index.calls[(module_name, "")] = body_calls
 
 
 def _resolve_call(
@@ -437,15 +413,30 @@ def _resolve_call(
 
 
 def build_index(project: Project, context_modules: Sequence = ()) -> FlowIndex:
-    """Build every shared index for one flow run (single pass per table)."""
+    """Build every shared index for one flow run, in one walk per module.
+
+    Pass 1 records symbols, functions and bindings, and sorts calls and
+    imports by scope.  Pass 2 resolves them, with every module's bindings.
+    """
     index = FlowIndex(project=project, context_modules=list(context_modules))
     for module in project.modules:
         index.modules[module.dotted_name] = module
+    scopes: dict = {}
+    walked = []
     for module in project.modules:
-        index.bindings[module.dotted_name] = import_bindings(module)
-        _collect_symbols(index, module)
-        _collect_functions(index, module)
-    for module in project.modules:
-        _collect_import_edges(index, module)
-        _collect_calls(index, module)
+        _collect_top_level(index, module, scopes)
+        imports, body = _walk_module(module, scopes)
+        index.bindings[module.dotted_name] = import_bindings(module, (n for n, _ in imports))
+        walked.append((module, imports, body))
+    by_module: dict = {}
+    for info in index.functions.values():
+        by_module.setdefault(info.module_name, []).append(info)
+    for module, imports, body in walked:
+        _add_import_edges(index, module, imports)
+        name = module.dotted_name
+        for info in by_module.get(name, ()):
+            index.calls[info.key] = [_resolve_call(index, name, info, node)
+                                     for node in scopes[info.node]]
+        index.calls[(name, "")] = [_resolve_call(index, name, None, node)
+                                   for node in body]
     return index

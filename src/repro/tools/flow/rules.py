@@ -407,7 +407,7 @@ class DeadCodeRule(FlowRule):
                 resolved = self.index.resolve_symbol(target, binding.symbol)
                 if resolved is not None:
                     yield resolved.key
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Attribute):
                 continue
             chain = _attribute_chain(node)

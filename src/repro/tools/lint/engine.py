@@ -44,6 +44,7 @@ __all__ = [
     "Suppression",
     "Violation",
     "apply_suppressions",
+    "dotted_path",
     "iter_python_files",
     "load_module",
     "parse_suppressions",
@@ -219,6 +220,18 @@ class Project:
         return frozenset(known - roots)
 
 
+def dotted_path(node: ast.expr) -> tuple | None:
+    """``a.b.c`` -> ``("a", "b", "c")``; ``None`` for non-name expressions."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return tuple(reversed(parts))
+    return None
+
+
 def _final_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
@@ -260,9 +273,11 @@ def parse_suppressions(source: str) -> list:
 
     Real comments are found with :mod:`tokenize` so that suppression
     syntax quoted inside string literals (docs, tests, messages) is never
-    mistaken for a live suppression.
+    mistaken for a live suppression; a source without ``disable=`` is skipped.
     """
     suppressions = []
+    if "disable=" not in source:
+        return suppressions
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):

@@ -36,6 +36,7 @@ from repro.tools.lint.engine import (
     Project,
     Rule,
     Violation,
+    dotted_path,
     register_rule,
 )
 
@@ -47,18 +48,6 @@ __all__ = [
     "ExportSyncRule",
     "default_rules",
 ]
-
-
-def _dotted_path(node: ast.expr) -> tuple | None:
-    """``a.b.c`` -> ("a", "b", "c"); None for non-name expressions."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
 
 def _import_bindings(module: ModuleInfo) -> dict:
@@ -113,7 +102,7 @@ class DeterminismRule(Rule):
         for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            path = _dotted_path(node.func)
+            path = dotted_path(node.func)
             if path is None:
                 continue
             origin = bindings.get(path[0])
@@ -283,7 +272,7 @@ class EstimatorContractRule(Rule):
         for node in ast.walk(fit):
             if not isinstance(node, ast.Call):
                 continue
-            path = _dotted_path(node.func)
+            path = dotted_path(node.func)
             if path is None:
                 continue
             if path[-1] in _VALIDATION_HELPERS:
@@ -600,7 +589,7 @@ def _resolve_name(node: ast.Name, module: ModuleInfo, project: Project, depth: i
 
 
 def _resolve_call(node: ast.Call, module: ModuleInfo, project: Project, depth: int):
-    path = _dotted_path(node.func)
+    path = dotted_path(node.func)
     func = path[-1] if path else None
 
     def arg(position: int, keyword: str, default=_ExtractionError):
@@ -718,7 +707,7 @@ class ExceptionHygieneRule(Rule):
         names = set()
         elements = node.elts if isinstance(node, ast.Tuple) else [node]
         for element in elements:
-            path = _dotted_path(element)
+            path = dotted_path(element)
             if path:
                 names.add(path[-1])
         return names
@@ -733,7 +722,7 @@ class ExceptionHygieneRule(Rule):
             target = exc.func
         else:
             target = exc
-        path = _dotted_path(target)
+        path = dotted_path(target)
         if path is None:
             return  # dynamic (e.g. type(exc)(...)): not statically checkable
         name = path[-1]

@@ -125,3 +125,148 @@ def test_module_body_calls_live_in_pseudo_scope(tmp_path):
     })
     body_sites = index.calls[("repro.body", "")]
     assert [s.target for s in body_sites] == [("repro.body", "build")]
+
+
+def site_lines(sites):
+    return [(site.node.lineno, site.target) for site in sites]
+
+
+def test_later_duplicate_def_wins_and_earlier_calls_are_dropped(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/dup.py": (
+            "def helper():\n"
+            "    return 1\n"
+            "def run():\n"
+            "    return helper()\n"
+            "def run():\n"
+            "    return other()\n"
+            "def other():\n"
+            "    return 2\n"
+        ),
+    })
+    assert index.functions[("repro.dup", "run")].node.lineno == 5
+    assert list(index.calls) == [("repro.dup", "helper"), ("repro.dup", "run"),
+                                 ("repro.dup", "other"), ("repro.dup", "")]
+    assert site_lines(index.calls[("repro.dup", "run")]) == [
+        (6, ("repro.dup", "other"))]
+    assert all(sites == [] for key, sites in index.calls.items()
+               if key != ("repro.dup", "run"))
+
+
+def test_calls_in_a_def_nested_in_a_method_belong_to_the_method(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/box.py": (
+            "class Box:\n"
+            "    def run(self):\n"
+            "        def inner():\n"
+            "            return self.step()\n"
+            "        return inner()\n"
+            "    def step(self):\n"
+            "        return 0\n"
+        ),
+    })
+    assert site_lines(index.calls[("repro.box", "Box.run")]) == [
+        (5, None), (4, ("repro.box", "Box.step"))]
+    assert list(index.calls) == [("repro.box", "Box.run"),
+                                 ("repro.box", "Box.step"), ("repro.box", "")]
+
+
+def test_class_body_and_nested_class_calls_belong_to_no_scope(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/cls.py": (
+            "def make():\n"
+            "    return 1\n"
+            "class Outer:\n"
+            "    LIMIT = make()\n"
+            "    class Inner:\n"
+            "        def go(self):\n"
+            "            return make()\n"
+        ),
+    })
+    assert list(index.calls) == [("repro.cls", "make"), ("repro.cls", "")]
+    assert all(sites == [] for sites in index.calls.values())
+    assert ("repro.cls", "Outer.Inner.go") not in index.functions
+
+
+def test_module_body_calls_under_if_and_try_use_the_module_scope(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/guarded.py": (
+            "def build():\n"
+            "    return 1\n"
+            "if True:\n"
+            "    A = build()\n"
+            "try:\n"
+            "    B = build()\n"
+            "except ImportError:\n"
+            "    def fallback():\n"
+            "        return build()\n"
+        ),
+    })
+    build = ("repro.guarded", "build")
+    assert site_lines(index.calls[("repro.guarded", "")]) == [
+        (4, build), (6, build), (9, build)]
+    assert ("repro.guarded", "fallback") not in index.functions
+
+
+def test_nested_def_imports_are_deferred_and_class_body_imports_are_not(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/a.py": (
+            "class Holder:\n"
+            "    import repro.b\n"
+            "    def method(self):\n"
+            "        import repro.c\n"
+            "def outer():\n"
+            "    def inner():\n"
+            "        import repro.b\n"
+        ),
+        "repro/b.py": "",
+        "repro/c.py": "",
+    })
+    assert [(e.source, e.target, e.lineno, e.deferred)
+            for e in index.import_edges] == [
+        ("repro.a", "repro.b", 2, False),
+        ("repro.a", "repro.c", 4, True),
+        ("repro.a", "repro.b", 7, True),
+    ]
+
+
+def test_relative_imports_in_a_package_init(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/top.py": "",
+        "repro/pkg/__init__.py": (
+            "from .util import VALUE\n"
+            "from . import util\n"
+            "from .. import top\n"
+        ),
+        "repro/pkg/util.py": "VALUE = 1\n",
+    })
+    bindings = index.bindings["repro.pkg"]
+    assert [(local, b.module, b.symbol) for local, b in bindings.items()] == [
+        ("VALUE", "repro.pkg.util", "VALUE"),
+        ("util", "repro.pkg", "util"),
+        ("top", "repro", "top"),
+    ]
+    assert [(e.target, e.lineno) for e in index.import_edges
+            if e.source == "repro.pkg"] == [
+        ("repro.pkg.util", 1), ("repro.pkg.util", 2), ("repro.top", 3)]
+
+
+def test_call_sites_keep_ast_walk_order_within_a_function(tmp_path):
+    index = index_from(tmp_path, {
+        "repro/order.py": (
+            "def a(x):\n"
+            "    return x\n"
+            "def b(x):\n"
+            "    return x\n"
+            "def c(x):\n"
+            "    return x\n"
+            "@c(0)\n"
+            "def f(x):\n"
+            "    y = a(b(x))\n"
+            "    return c(y)\n"
+        ),
+    })
+    sites = index.calls[("repro.order", "f")]
+    assert [site.target[1] for site in sites] == ["c", "a", "c", "b"]
+    assert [site.node.lineno for site in sites] == [7, 9, 10, 9]
+    assert index.calls[("repro.order", "")] == []

@@ -260,6 +260,30 @@ def test_check_walks_each_module_tree_at_most_once(monkeypatch):
         is project.subclasses_of({"ReproError"})
 
 
+def test_index_build_expands_each_node_at_most_once(monkeypatch):
+    import ast
+    from collections import Counter
+
+    expanded = Counter()
+    iter_child_nodes = ast.iter_child_nodes
+
+    def counting_iter_child_nodes(node):
+        if node._fields:  # not a shared leaf such as ``ast.Load()``
+            expanded[id(node)] += 1
+        return iter_child_nodes(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting_iter_child_nodes)
+    loaded = load_indexed_project([SERVING_ROOT], context_paths=())
+    monkeypatch.undo()
+    assert index_cache_info()["misses"] == 1
+    modules = loaded.project.modules
+    assert set(expanded) == {id(node) for module in modules
+                             for node in ast.walk(module.tree) if node._fields}
+    assert max(expanded.values()) == 1
+    # Nothing else is derived while the index is built.
+    assert not any("nodes" in vars(module) for module in modules)
+
+
 def test_appending_a_module_invalidates_the_class_table(tmp_path):
     from repro.tools.lint.engine import Project, load_module
 

@@ -1,6 +1,7 @@
 """Engine mechanics: suppressions, R000 diagnostics, result shaping."""
 
 import textwrap
+import tokenize
 
 from repro.tools.lint import ENGINE_CODE, LintResult, Violation, lint_source
 from repro.tools.lint.engine import parse_suppressions
@@ -32,6 +33,15 @@ def test_parse_suppressions_standalone_covers_next_line():
 def test_suppression_text_inside_string_literal_is_ignored():
     source = 'msg = "# repro: disable=R001 -- not a comment"\n'
     assert parse_suppressions(source) == []
+
+
+def test_source_without_marker_is_not_tokenized(monkeypatch):
+    def refuse(readline):
+        raise AssertionError("tokenized a source with no suppression")
+
+    monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+    assert parse_suppressions("x = risky()  # repro: R001 -- no marker\n") == []
+    assert parse_suppressions("") == []
 
 
 def test_justified_suppression_silences_violation():
