@@ -2,16 +2,17 @@
 
 The paper's headline grid (Table 3 / Fig. 4) is CPU-bound training:
 every dataset × every platform × the per-platform configuration space.
-The thread scheduler overlaps request *waiting* but the GIL serializes
-the *compute*; the process-sharded engine fans dataset-keyed shards
-over a process pool.  This bench times all three backends on the same
-grid and gates on the determinism contract before any timing counts:
+The thread executor of :func:`repro.service.run_campaign` overlaps
+request *waiting* but the GIL serializes the *compute*; the process
+executor fans dataset-keyed shards over a process pool.  This bench
+times the serial sweep and both executors on the same grid and gates on
+the determinism contract before any timing counts:
 
 * the thread and process stores must equal the serial store element for
   element, **and** their saved-JSON checkpoints must be byte-identical;
-* a budgeted process run (``max_shards=1``) checkpointed and then
-  resumed must reach the same final store as an uninterrupted run, with
-  the resumed jobs accounted in telemetry;
+* a process run whose pool worker is killed (SIGKILL) mid-campaign
+  checkpoints what finished, and resuming from that checkpoint must
+  reach the serial store, with the resumed jobs accounted in telemetry;
 * the ``array_digest`` identity memo must return bit-identical digests
   to the uncached computation (and the bench records its speedup).
 
@@ -36,8 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform as host_platform
+import signal
 import tempfile
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 try:
@@ -59,8 +63,8 @@ from repro.core.config_space import (
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.learn.cache import _uncached_digest, array_digest
-from repro.platforms import ALL_PLATFORMS
-from repro.service import CampaignScheduler, ShardedCampaign
+from repro.platforms import ALL_PLATFORMS, Amazon
+from repro.service import Telemetry, run_campaign
 
 SPLIT_SEED = 7
 THREAD_WORKERS = 4
@@ -70,6 +74,17 @@ SPEEDUP_MIN_CPUS = 4
 #: Ensemble/network classifiers whose training dominates wall-clock —
 #: the grid must be compute-bound for process speedup to be measurable.
 HEAVY_CLASSIFIERS = ("BST", "RF", "MLP", "BAG")
+
+
+class KillOnUpload(Amazon):
+    """Amazon whose pool worker SIGKILLs itself uploading ``kill_on``."""
+
+    kill_on = None
+
+    def upload_dataset(self, X, y, name="dataset"):
+        if name == self.kill_on:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().upload_dataset(X, y, name=name)
 
 
 def _usable_cpus() -> int:
@@ -111,8 +126,8 @@ def _workload(quick: bool):
     return corpus, platforms, configurations
 
 
-def _fresh_platforms():
-    return [cls(random_state=0) for cls in ALL_PLATFORMS]
+def _fresh_platforms(classes=ALL_PLATFORMS):
+    return [cls(random_state=0) for cls in classes]
 
 
 def _store_bytes(store: ResultStore, directory: str, label: str) -> bytes:
@@ -132,20 +147,20 @@ def _run_serial(corpus, configurations) -> ResultStore:
 
 
 def _run_threads(corpus, configurations) -> ResultStore:
-    scheduler = CampaignScheduler(workers=THREAD_WORKERS, seed=0)
-    return scheduler.run(
+    return run_campaign(
         ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
-        corpus, configurations,
+        corpus, configurations, workers=THREAD_WORKERS,
     )
 
 
 def _run_processes(corpus, configurations) -> tuple:
-    engine = ShardedCampaign(processes=PROCESS_WORKERS)
-    store = engine.run(
+    telemetry = Telemetry()
+    store = run_campaign(
         ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
-        corpus, configurations,
+        corpus, configurations, processes=PROCESS_WORKERS,
+        telemetry=telemetry,
     )
-    return store, engine
+    return store, telemetry.snapshot()["counters"]
 
 
 def _timed(fn):
@@ -155,25 +170,33 @@ def _timed(fn):
 
 
 def _resume_check(corpus, configurations, serial_store, directory) -> dict:
-    """Budgeted run → checkpoint → resume must equal uninterrupted serial."""
+    """Killed pool worker → checkpoint → resume must equal serial."""
     checkpoint = Path(directory) / "resume-checkpoint.json"
-    first = ShardedCampaign(processes=2)
-    partial = first.run(
+    classes = [KillOnUpload if cls is Amazon else cls for cls in ALL_PLATFORMS]
+    KillOnUpload.kill_on = corpus[-1].name
+    try:
+        run_campaign(
+            ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(classes),
+            corpus, configurations, processes=2,
+            checkpoint_path=checkpoint, checkpoint_every=1,
+        )
+        killed = False
+    except BrokenProcessPool:
+        killed = True
+    finally:
+        KillOnUpload.kill_on = None
+    partial = ResultStore.load(checkpoint)
+    telemetry = Telemetry()
+    resumed = run_campaign(
         ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
-        corpus, configurations,
-        checkpoint_path=checkpoint, max_shards=1,
+        corpus, configurations, processes=2,
+        resume_from=partial, checkpoint_path=checkpoint,
+        telemetry=telemetry,
     )
-    second = ShardedCampaign(processes=2)
-    resumed = second.run(
-        ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
-        corpus, configurations,
-        resume_from=ResultStore.load(checkpoint),
-        checkpoint_path=checkpoint,
-    )
-    counters = second.telemetry.snapshot()["counters"]
     return {
-        "partial_jobs": len(list(partial)),
-        "resumed_jobs": counters["jobs_resumed"],
+        "worker_killed": killed,
+        "partial_jobs": len(partial),
+        "resumed_jobs": telemetry.counter_value("jobs_resumed"),
         "final_equals_serial": list(resumed) == list(serial_store),
     }
 
@@ -213,7 +236,7 @@ def run_bench(quick: bool = True) -> dict:
         lambda: _run_serial(corpus, configurations))
     thread_store, thread_seconds = _timed(
         lambda: _run_threads(corpus, configurations))
-    (process_store, engine), process_seconds = _timed(
+    (process_store, counters), process_seconds = _timed(
         lambda: _run_processes(corpus, configurations))
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -221,6 +244,11 @@ def run_bench(quick: bool = True) -> dict:
         results = {
             "mode": "quick" if quick else "full",
             "cpus": _usable_cpus(),
+            "host": {
+                "cpus": _usable_cpus(),
+                "python": host_platform.python_version(),
+                "numpy": np.__version__,
+            },
             "datasets": len(corpus),
             "platforms": len(platforms),
             "jobs": jobs,
@@ -248,8 +276,10 @@ def run_bench(quick: bool = True) -> dict:
                     _store_bytes(process_store, tmp, "processes")
                     == serial_bytes,
             },
-            "fit_cache": engine.fit_cache_stats,
-            "dag": engine.dag.summary(),
+            "fit_cache": {key: counters.get(f"fit_cache_{key}", 0)
+                          for key in ("entries", "hits", "misses")},
+            "shards": {key: counters.get(f"shards_{key}", 0)
+                       for key in ("total", "done")},
             "resume": _resume_check(
                 corpus, configurations, serial_store, tmp),
             "digest_memo": _digest_memo_bench(200 if quick else 2000),
@@ -282,7 +312,8 @@ def print_report(results: dict) -> None:
     print(f"fit cache: {cache['entries']} entries, "
           f"{cache['hits']} hits, {cache['misses']} misses")
     resume = results["resume"]
-    print(f"resume: {resume['partial_jobs']} checkpointed, "
+    print(f"resume: worker killed={resume['worker_killed']}, "
+          f"{resume['partial_jobs']} checkpointed, "
           f"{resume['resumed_jobs']} resumed, "
           f"final_equals_serial={resume['final_equals_serial']}")
     memo = results["digest_memo"]
@@ -307,6 +338,7 @@ def check_results(results: dict) -> None:
     assert results["fit_cache"]["hits"] > 0, \
         "shard FitCache never hit — cache sharing is broken"
     resume = results["resume"]
+    assert resume["worker_killed"], "the killed pool worker went unnoticed"
     assert resume["final_equals_serial"], \
         "kill-then-resume diverged from the uninterrupted serial run"
     assert resume["resumed_jobs"] == resume["partial_jobs"] > 0

@@ -1,10 +1,11 @@
-"""Campaign scheduler speedup — concurrent vs. serial sweeps.
+"""Campaign thread-executor speedup — concurrent vs. serial sweeps.
 
 The simulated platforms answer instantly, so out of the box there is
 nothing for concurrency to hide.  This bench injects a fixed per-request
 latency into every platform (the network round-trip the paper's scripts
-spent most of their wall-clock on) and demonstrates that the campaign
-scheduler overlaps requests across platforms: with one worker per
+spent most of their wall-clock on) and demonstrates that the thread
+executor of :func:`repro.service.run_campaign` overlaps requests across
+platforms: with one worker per
 platform the sweep must finish at least 2x faster than the serial loop,
 while producing a bit-identical result store.
 """
@@ -17,7 +18,7 @@ from repro.core.config_space import baseline_configuration
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.platforms import ALL_PLATFORMS
-from repro.service import CampaignScheduler
+from repro.service import run_campaign
 
 REQUEST_LATENCY = 0.05  # seconds of simulated network round-trip
 
@@ -52,10 +53,10 @@ def test_campaign_speedup_over_serial():
 
     def concurrent():
         platforms = [cls(random_state=0) for cls in classes]
-        scheduler = CampaignScheduler(workers=len(platforms), seed=0)
-        return scheduler.run(
+        return run_campaign(
             ExperimentRunner(split_seed=7), platforms, corpus,
             {p.name: [baseline_configuration(p)] for p in platforms},
+            workers=len(platforms),
         )
 
     start = time.perf_counter()
@@ -67,7 +68,7 @@ def test_campaign_speedup_over_serial():
     concurrent_seconds = time.perf_counter() - start
 
     speedup = serial_seconds / concurrent_seconds
-    print_banner("Campaign scheduler — wall-clock speedup over serial sweep")
+    print_banner("Campaign threads — wall-clock speedup over serial sweep")
     print(f"platforms: {len(classes)}  datasets: {len(corpus)}  "
           f"request latency: {REQUEST_LATENCY * 1000:.0f} ms")
     print(f"serial:     {serial_seconds:8.2f} s")

@@ -7,8 +7,10 @@ operational features built for that reality:
 
 * the asynchronous job mode — ``create_model`` queues a training job and
   the client polls ``await_model``, exactly like the real services;
-* resumable, checkpointed sweeps — a campaign can be interrupted at any
-  point and continued from its JSON checkpoint without repeating work.
+* resumable, checkpointed campaigns — :func:`repro.service.run_campaign`
+  can be interrupted at any point and continued from its JSON
+  checkpoint without repeating work.  The whole campaign below runs on
+  the asynchronous platform: the runner polls every queued job.
 
 Run:  python examples/measurement_campaign.py
 """
@@ -21,11 +23,12 @@ from repro.core import ExperimentRunner, enumerate_configurations
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.platforms import BigML
+from repro.service import Telemetry, run_campaign
 
 
 def main() -> None:
     datasets = load_corpus(max_datasets=4, size_cap=250, feature_cap=10)
-    platform = BigML(random_state=0)
+    platform = BigML(random_state=0, synchronous=False)
     configurations = list(enumerate_configurations(
         platform, para_grid="single_axis"
     ))
@@ -43,27 +46,31 @@ def main() -> None:
     print(f"after await_model: state={handle.state.value}, "
           f"trained in {handle.metadata['training_seconds'] * 1000:.0f} ms")
 
-    # --- the checkpointed sweep -----------------------------------------
+    # --- the checkpointed campaign -------------------------------------
     runner = ExperimentRunner(split_seed=7)
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = Path(tmp) / "campaign.json"
 
         # Phase 1: the campaign "crashes" after the first two datasets.
-        partial = runner.sweep(
-            platform, datasets[:2], configurations,
+        partial = run_campaign(
+            runner, [platform], datasets[:2], configurations,
             checkpoint_path=checkpoint,
         )
         print(f"\nphase 1 done: {len(partial)} measurements "
               f"checkpointed to {checkpoint.name}")
 
         # Phase 2: resume from the checkpoint; finished work is skipped.
-        resumed = runner.sweep(
-            platform, datasets, configurations,
+        telemetry = Telemetry()
+        resumed = run_campaign(
+            runner, [platform], datasets, configurations,
             resume_from=ResultStore.load(checkpoint),
-            checkpoint_path=checkpoint,
+            checkpoint_path=checkpoint, telemetry=telemetry,
         )
         print(f"phase 2 done: {len(resumed)} total measurements "
-              f"({len(resumed) - len(partial)} new)")
+              f"({telemetry.counter_value('jobs_done')} new, "
+              f"{telemetry.counter_value('jobs_failed')} failed, "
+              f"{telemetry.platform_requests(platform.name)['await_model']}"
+              " jobs polled to completion)")
 
         best = resumed.best_per_dataset()
         print()

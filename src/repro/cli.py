@@ -7,11 +7,11 @@ Gives downstream users the common study operations without writing code:
 * ``baseline``  — run the zero-control protocol and print Table 3(a).
 * ``optimized`` — run the full-sweep protocol and print Fig 4 / Table 3(b).
 * ``boundary``  — probe a platform's decision boundary on a 2-D dataset.
-* ``campaign``  — run a protocol through the concurrent campaign
-  scheduler (:mod:`repro.service`): worker pool, retries, telemetry,
-  checkpoint/resume, optional serial-equality verification.  With
-  ``--processes N`` the CPU-bound grid fans out dataset-keyed shards
-  over a process pool (bit-identical, resumable) instead of threads.
+* ``campaign``  — run a protocol through the campaign driver
+  (:func:`repro.service.run_campaign`): retries, telemetry,
+  checkpoint/resume, optional serial-equality verification, with the
+  jobs on ``--workers N`` threads or — for the CPU-bound grid —
+  dataset-keyed shards on ``--processes N`` processes.
 * ``serve``     — expose the platform simulators over HTTP
   (:mod:`repro.serving`): JSON endpoints for upload/train/predict,
   structured access logs, ``/metrics/summary`` percentiles.
@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="run a measurement campaign on the concurrent scheduler "
-             "(threads) or the process-sharded engine (--processes)",
+        help="run a measurement campaign on threads (--workers) or "
+             "process shards (--processes)",
     )
     campaign.add_argument("--protocol", choices=["baseline", "optimized"],
                           default="baseline")
@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "--processes > 1)")
     campaign.add_argument("--processes", type=int, default=1,
                           help="worker processes for the CPU-bound "
-                               "dataset-sharded backend (default 1: "
-                               "thread scheduler)")
+                               "dataset-sharded executor (default 1: "
+                               "threads)")
     campaign.add_argument("--datasets", type=int, default=6,
                           help="corpus subset size (default 6)")
     campaign.add_argument("--size-cap", type=int, default=200,
@@ -283,30 +283,29 @@ def _cmd_campaign(args, out) -> int:
     ), file=out)
 
     telemetry = study.telemetry
-    snapshot = telemetry.snapshot()
-    counters = snapshot["counters"]
-    if processes > 1:
-        print(f"\ntelemetry: {counters.get('shards_done', 0)}/"
-              f"{counters.get('shards_total', 0)} shards, "
-              f"{counters.get('jobs_resumed', 0)} resumed, "
-              f"{counters.get('jobs_failed', 0)} failed jobs, "
-              f"fit cache {counters.get('fit_cache_hits', 0)} hits / "
-              f"{counters.get('fit_cache_misses', 0)} misses", file=out)
-    else:
-        print(f"\ntelemetry: {counters.get('requests_total', 0)} requests, "
-              f"{counters.get('retries_total', 0)} retries, "
-              f"{counters.get('jobs_resumed', 0)} resumed, "
-              f"{counters.get('jobs_failed', 0)} failed jobs", file=out)
+    counters = telemetry.snapshot()["counters"]
+    print("\ntelemetry: " + ", ".join(
+        f"{counters.get(name, 0)} {label}" for name, label in (
+            ("jobs_total", "jobs"), ("jobs_resumed", "resumed"),
+            ("jobs_failed", "failed"), ("requests_total", "requests"),
+            ("retries_total", "retries"), ("shards_total", "shards"),
+            ("fit_cache_hits", "fit cache hits"),
+            ("fit_cache_misses", "fit cache misses"),
+        )
+    ), file=out)
     if args.telemetry_out:
         telemetry.save(args.telemetry_out)
         print(f"telemetry snapshot written to {args.telemetry_out}", file=out)
 
     if args.compare_serial:
+        # The reference is the bare serial loop, not an executor.
         serial_study = MLaaSStudy(scale=scale, random_state=args.seed)
         started = time.perf_counter()
-        serial_store = (serial_study.run_optimized()
-                        if args.protocol == "optimized"
-                        else serial_study.run_baseline())
+        serial_store = ResultStore()
+        for platform, configurations in serial_study.protocol_plan(
+                args.protocol):
+            serial_store.extend(serial_study.runner.sweep(
+                platform, serial_study.corpus, configurations))
         serial_seconds = time.perf_counter() - started
         matches = list(serial_store) == list(store)
         print(f"serial sweep: {len(serial_store)} measurements in "

@@ -97,6 +97,10 @@ class ExperimentRunner:
             feature_selection=configuration.feature_selection,
         )
         handle = platform.get_model(model_id)
+        if handle.state is JobState.QUEUED:
+            # An asynchronous platform only queued the job: poll it to a
+            # terminal state, as the paper's scripts did.
+            handle = platform.await_model(model_id)
         if handle.state is JobState.FAILED:
             return ExperimentResult(
                 platform=platform.name,
@@ -123,43 +127,19 @@ class ExperimentRunner:
         platform: MLaaSPlatform,
         datasets: Sequence[Dataset],
         configurations: Iterable[Configuration],
-        resume_from: ResultStore | None = None,
-        checkpoint_path=None,
-        checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Run every configuration on every dataset.
+        """Run every configuration on every dataset, in order.
 
-        Parameters
-        ----------
-        resume_from : ResultStore or None
-            Previously collected results; measurements already present
-            (same platform, dataset, configuration) are skipped — this is
-            how a paper-scale sweep survives interruption.
-        checkpoint_path : path-like or None
-            When set, the accumulated store is saved there every
-            ``checkpoint_every`` new measurements and at the end.
+        The bare serial loop — the reference every campaign executor of
+        :func:`repro.service.run_campaign` must reproduce bit for bit.
+        Resume and checkpointing live in that driver.
         """
         store = ResultStore()
-        done = set()
-        if resume_from is not None:
-            for result in resume_from:
-                if result.platform == platform.name:
-                    store.add(result)
-                    done.add((result.dataset, result.configuration))
         configurations = list(configurations)
-        new_measurements = 0
         for dataset in datasets:
             split = self.split(dataset)
             for configuration in configurations:
-                if (dataset.name, configuration) in done:
-                    continue
                 store.add(self.run_one(platform, dataset, configuration, split))
-                new_measurements += 1
-                if checkpoint_path is not None and \
-                        new_measurements % checkpoint_every == 0:
-                    store.save(checkpoint_path)
-        if checkpoint_path is not None and new_measurements:
-            store.save(checkpoint_path)
         return store
 
     def predictions_for(

@@ -13,10 +13,10 @@ produces the result stores consumed by :mod:`repro.analysis`:
 
 A :class:`StudyScale` preset bounds corpus size and grid resolution so
 the same code runs as a quick test, a laptop bench, or a paper-scale
-sweep.  With ``workers > 1`` every protocol runs through the
-:mod:`repro.service` campaign scheduler — concurrent across platforms,
-with retries and telemetry — and still produces a result store
-bit-identical to the serial path (the scheduler's determinism contract).
+sweep.  Every protocol runs through the one campaign driver,
+:func:`repro.service.run_campaign` — inline, on threads (``workers``) or
+on processes (``processes``), with retries and telemetry — and produces
+a result store bit-identical to the serial sweep whatever the executor.
 """
 
 from __future__ import annotations
@@ -92,23 +92,21 @@ class MLaaSStudy:
         Seed shared by corpus subsetting and platform internals.
     workers : int
         Worker threads for the measurement protocols.  ``1`` (default)
-        keeps the serial sweep; ``> 1`` routes every protocol through
-        :class:`repro.service.CampaignScheduler`, which guarantees the
-        result store is identical to the serial path.
+        runs the jobs inline in serial order; ``> 1`` runs them on a
+        thread pool.  Either way the result store is identical to the
+        serial sweep.
     processes : int
-        Worker processes.  ``> 1`` routes every protocol through the
-        process-sharded :class:`repro.service.ShardedCampaign` — the
-        CPU-bound full-grid path past the GIL, still bit-identical to
-        serial.  Threads and processes are alternative backends: at most
-        one of ``workers``/``processes`` may exceed 1, and process mode
-        does not accept an injected ``clock`` (it cannot cross the
-        pickling boundary).
+        Worker processes.  ``> 1`` runs dataset-keyed shards on a
+        process pool — the CPU-bound full-grid path past the GIL, still
+        bit-identical to serial.  At most one of ``workers``/``processes``
+        may exceed 1, and process mode does not accept an injected
+        ``clock`` (it cannot cross the pickling boundary).
     clock : callable or None
         Optional shared time source with the :class:`VirtualClock`
         interface.  When given it is passed to every platform the study
         constructs (driving their rolling-minute rate limiters) and to
-        the campaign scheduler's backoff, so waits and quota windows
-        move together.
+        the campaign's retry backoff, so waits and quota windows move
+        together.
     """
 
     def __init__(
@@ -126,7 +124,7 @@ class MLaaSStudy:
             raise ValidationError(f"processes must be >= 1, got {processes}")
         if workers > 1 and processes > 1:
             raise ValidationError(
-                "choose one campaign backend: thread workers "
+                "choose one campaign executor: thread workers "
                 f"(workers={workers}) or process shards "
                 f"(processes={processes}), not both"
             )
@@ -154,8 +152,7 @@ class MLaaSStudy:
             for source in platform_sources
         ]
         self.runner = ExperimentRunner(split_seed=random_state + 7)
-        #: Telemetry of the most recent campaign run (None before any,
-        #: and always None on the pure serial path).
+        #: Telemetry of the most recent protocol run (None before any).
         self.telemetry = None
         self._corpus: list[Dataset] | None = None
 
@@ -186,7 +183,7 @@ class MLaaSStudy:
         ``protocol`` is ``"baseline"``, ``"optimized"`` or a control
         dimension (``"FEAT"``/``"CLF"``/``"PARA"``); platforms with an
         empty configuration list are excluded.  The plan order is the
-        serial sweep order, which the campaign scheduler preserves.
+        serial sweep order, which every campaign executor preserves.
         """
         plan: list = []
         for platform in self.platforms:
@@ -211,17 +208,6 @@ class MLaaSStudy:
                 plan.append((platform, configurations))
         return plan
 
-    def _run_plan(self, plan: list) -> ResultStore:
-        """Execute a plan serially, or as a campaign with workers/processes."""
-        if self.workers > 1 or self.processes > 1:
-            return self.run_campaign_plan(plan)
-        store = ResultStore()
-        for platform, configurations in plan:
-            store.extend(
-                self.runner.sweep(platform, self.corpus, configurations)
-            )
-        return store
-
     def run_campaign_plan(
         self,
         plan: list,
@@ -229,25 +215,23 @@ class MLaaSStudy:
         checkpoint_path=None,
         checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Run a plan through the concurrent campaign backend.
+        """Run a plan through :func:`repro.service.run_campaign`.
 
-        ``processes > 1`` fans dataset-keyed shards over a process pool
-        (:class:`~repro.service.ShardedCampaign`), checkpointing after
-        every completed shard; otherwise the thread scheduler runs it,
-        checkpointing every ``checkpoint_every`` measurements.  Either
-        way the results are identical to the serial path, and the
-        backend's :class:`~repro.service.Telemetry` is kept on
-        ``self.telemetry`` for inspection/export.
+        The study's ``workers``/``processes`` choose the executor; the
+        results are identical to the serial sweep whichever runs, and
+        the run's :class:`~repro.service.Telemetry` is kept on
+        ``self.telemetry`` for inspection/export.  ``checkpoint_path``
+        is rewritten every ``checkpoint_every`` new measurements.
         """
         # Imported here to keep repro.core importable without the service
         # layer at import time (service imports core.runner/core.results).
-        from repro.service import CampaignScheduler, ShardedCampaign
+        from repro.service import Telemetry, run_campaign
 
         platforms = [platform for platform, _ in plan]
         configurations = {platform.name: configs
                           for platform, configs in plan}
         if len(configurations) != len(plan):
-            # The backends key configurations by platform name: a
+            # The driver keys configurations by platform name: a
             # concatenated plan would silently drop all but the last.
             counts = Counter(platform.name for platform in platforms)
             duplicated = sorted(n for n, count in counts.items() if count > 1)
@@ -256,26 +240,16 @@ class MLaaSStudy:
                 f"once; run each protocol plan on its own or merge their "
                 f"configurations"
             )
-        if self.processes > 1:
-            engine = ShardedCampaign(processes=self.processes)
-            store = engine.run(
-                self.runner, platforms, self.corpus, configurations,
-                resume_from=resume_from,
-                checkpoint_path=checkpoint_path,
-            )
-            self.telemetry = engine.telemetry
-            return store
-        scheduler = CampaignScheduler(
-            workers=self.workers, clock=self.clock, seed=self.random_state,
-        )
-        store = scheduler.run(
+        self.telemetry = Telemetry()
+        return run_campaign(
             self.runner, platforms, self.corpus, configurations,
+            workers=self.workers, processes=self.processes,
             resume_from=resume_from,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
+            telemetry=self.telemetry, clock=self.clock,
+            seed=self.random_state,
         )
-        self.telemetry = scheduler.telemetry
-        return store
 
     def run_campaign(
         self,
@@ -285,7 +259,7 @@ class MLaaSStudy:
         checkpoint_path=None,
         checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Run a named protocol as a checkpointable concurrent campaign."""
+        """Run a named protocol as a checkpointable campaign."""
         return self.run_campaign_plan(
             self.protocol_plan(protocol, platforms=platforms),
             resume_from=resume_from,
@@ -295,15 +269,15 @@ class MLaaSStudy:
 
     def run_baseline(self) -> ResultStore:
         """Zero-control measurement of every platform on every dataset."""
-        return self._run_plan(self.protocol_plan("baseline"))
+        return self.run_campaign_plan(self.protocol_plan("baseline"))
 
     def run_optimized(self, platforms: list[str] | None = None) -> ResultStore:
         """Full configuration sweep (the 'optimized' protocol, §4.1)."""
-        return self._run_plan(self.protocol_plan("optimized", platforms=platforms))
+        return self.run_campaign_plan(self.protocol_plan("optimized", platforms=platforms))
 
     def run_per_control(self, dimension: str) -> ResultStore:
         """Tune one control dimension, others at baseline (Figs 5, 7)."""
-        return self._run_plan(self.protocol_plan(dimension))
+        return self.run_campaign_plan(self.protocol_plan(dimension))
 
     def run_all_controls(self) -> dict[str, ResultStore]:
         """Per-control sweeps for all three dimensions."""

@@ -12,40 +12,23 @@ against six rate-limited services):
   exponential backoff under a :class:`RetryPolicy`.
 * :mod:`repro.service.telemetry` — counters, latency/attempt histograms
   and per-platform request accounting with JSON snapshot export.
-* :mod:`repro.service.scheduler` — :class:`CampaignScheduler`, a worker
-  pool with fair round-robin dispatch, per-platform concurrency caps,
-  backpressure, and checkpoint/resume, whose results are bit-identical
-  to the serial sweep regardless of worker count.
-* :mod:`repro.service.dag` / :mod:`repro.service.sharding` —
-  :class:`CampaignDAG` and :class:`ShardedCampaign`: the CPU-bound
-  full-corpus grid partitioned into dataset-keyed shards, fanned out
-  over a process pool past the GIL, stitched back into serial-index
-  slots (bit-identical to serial), checkpointed atomically per shard
-  and resumable from the standard ResultStore checkpoint.
+* :mod:`repro.service.campaign` — :func:`run_campaign`, the one
+  campaign driver: the serial job table (:func:`build_campaign`), one
+  resume index, one checkpoint writer and one telemetry schema, with
+  the jobs run inline, on a thread pool (fair round-robin, one job in
+  flight per platform, a bounded queue) or as dataset-keyed shards on a
+  process pool past the GIL.  Whatever the executor, the result store
+  and its checkpoint bytes are identical to the serial sweep.
 
-Entry points: ``MLaaSStudy(workers=...)`` routes the study protocols
-through a thread scheduler, ``MLaaSStudy(processes=...)`` through the
-process-sharded engine, and the ``repro campaign`` CLI runs either from
-the command line.
+Entry points: every ``MLaaSStudy`` protocol runs through
+:func:`run_campaign` (``workers=N`` picks threads, ``processes=N``
+processes, neither the inline executor), and the ``repro campaign`` CLI
+runs any of them from the command line.
 """
 
+from repro.service.campaign import CampaignJob, build_campaign, run_campaign
 from repro.service.clock import VirtualClock, WallClock
-from repro.service.dag import CampaignDAG, JobStatus, ShardNode
 from repro.service.resilience import ResilientClient, RetryPolicy, is_transient
-from repro.service.scheduler import (
-    CampaignJob,
-    CampaignScheduler,
-    build_campaign,
-)
-from repro.service.sharding import (
-    PlatformSpec,
-    ShardResult,
-    ShardTask,
-    ShardedCampaign,
-    merge_cache_stats,
-    run_shard,
-    stitch_results,
-)
 from repro.service.telemetry import (
     Counter,
     Histogram,
@@ -55,27 +38,17 @@ from repro.service.telemetry import (
 )
 
 __all__ = [
-    "CampaignDAG",
     "CampaignJob",
-    "CampaignScheduler",
     "Counter",
     "Histogram",
-    "JobStatus",
-    "PlatformSpec",
     "ResilientClient",
     "RetryPolicy",
-    "ShardNode",
-    "ShardResult",
-    "ShardTask",
-    "ShardedCampaign",
     "Telemetry",
     "VirtualClock",
     "WallClock",
     "build_campaign",
     "exact_quantile",
     "is_transient",
-    "merge_cache_stats",
     "percentile_summary",
-    "run_shard",
-    "stitch_results",
+    "run_campaign",
 ]

@@ -16,10 +16,10 @@ retried campaign behaves identically on every machine and run.
 The client exposes exactly the platform surface
 :meth:`repro.core.runner.ExperimentRunner.run_one` drives
 (``upload_dataset`` / ``create_model`` / ``get_model`` /
-``batch_predict`` / ``delete_dataset`` plus ``name``), so the runner
-works against a wrapped platform unchanged.  Calls are additionally
-serialized through a per-client lock, making a shared platform instance
-safe to drive from scheduler worker threads.
+``await_model`` / ``batch_predict`` / ``delete_dataset`` plus ``name``),
+so the runner works against a wrapped platform unchanged.  Calls are
+additionally serialized through a per-client lock, making a shared
+platform instance safe to drive from the campaign's worker threads.
 """
 
 from __future__ import annotations
@@ -151,21 +151,12 @@ class ResilientClient:
         params=None,
         feature_selection: str | None = None,
     ) -> str:
-        """Launch a training job with retries; returns the model id.
-
-        On asynchronous platforms the client then polls the job to a
-        terminal state (``await_model``) before returning, giving the
-        caller the same ready-model contract as synchronous mode — the
-        poll-based shape of the real web APIs.
-        """
-        model_id = self._call(
+        """Launch a training job with retries; returns the model id."""
+        return self._call(
             "create_model", self.platform.create_model, dataset_id,
             classifier=classifier, params=params,
             feature_selection=feature_selection,
         )
-        if not self.platform.synchronous:
-            self.await_model(model_id)
-        return model_id
 
     def get_model(self, model_id: str):
         """Poll a model's job state with retries."""
@@ -211,9 +202,9 @@ class ResilientClient:
                         outcome="error",
                     )
                     raise
-                # Draw under the client lock: with per_platform_cap > 1
-                # two threads retrying the same platform would otherwise
-                # race on the generator's internal state.
+                # Draw under the client lock: two threads retrying
+                # through one client would otherwise race on the
+                # generator's internal state.
                 with self._lock:
                     u = float(self._rng.uniform(-1.0, 1.0))
                 self.clock.sleep(self.policy.delay(attempts, u))

@@ -177,12 +177,14 @@ def diff_surfaces(spec: dict, current: dict) -> list:
         if added:
             drift.append((name, None,
                           f"{name}.__all__ gained names {added} not in "
-                          "api_spec.json; run --update-spec if intentional"))
+                          "api_spec.json; run 'repro check --update-spec "
+                          "flow' if the addition is intentional"))
         for symbol in sorted(set(want["symbols"]) & set(got["symbols"])):
             before, after = want["symbols"][symbol], got["symbols"][symbol]
-            if before == after:
-                continue
-            for field in ("kind", "signature", "estimator_params"):
+            # A changed kind implies the rest changed; report it alone.
+            fields = (("kind",) if before.get("kind") != after.get("kind")
+                      else ("signature", "estimator_params"))
+            for field in fields:
                 if before.get(field) != after.get(field):
                     drift.append((name, symbol,
                                   f"{name}.{symbol}: {field} changed from "

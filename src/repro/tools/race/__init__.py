@@ -1,7 +1,7 @@
 """The race analyzer — static concurrency & shared-state analysis.
 
-PRs 3–4 made the reproduction genuinely concurrent: a thread-pooled
-:class:`~repro.service.scheduler.CampaignScheduler` with locks, bounded
+The reproduction is genuinely concurrent: the thread executor of
+:func:`~repro.service.campaign.run_campaign` with locks, bounded
 queues, and rate limiters, and a ``ProcessPoolExecutor``-backed parallel
 ``GridSearchCV``.  Both assert a *bit-identical-to-serial* determinism
 contract — exactly the guarantee that silently dies the day someone

@@ -1,12 +1,16 @@
-"""Tests for resumable sweeps and checkpointing."""
+"""Tests for resumable, checkpointed campaigns (the inline executor).
 
-import numpy as np
+Resume and checkpointing live in :func:`repro.service.run_campaign`;
+``ExperimentRunner.sweep`` is the bare serial reference they must match.
+"""
+
 import pytest
 
 from repro.core import Configuration, ExperimentRunner
 from repro.core.results import ResultStore
 from repro.datasets import load_dataset
 from repro.platforms import Amazon
+from repro.service import run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +27,13 @@ def configurations():
     ]
 
 
+def _campaign(platform, dataset, configurations, **kwargs):
+    return run_campaign(ExperimentRunner(split_seed=0), [platform],
+                        [dataset], configurations, **kwargs)
+
+
 def test_resume_skips_completed_measurements(dataset, configurations):
-    runner = ExperimentRunner(split_seed=0)
-    partial = runner.sweep(Amazon(random_state=0), [dataset], configurations[:2])
+    partial = _campaign(Amazon(random_state=0), dataset, configurations[:2])
     assert len(partial) == 2
 
     class CountingAmazon(Amazon):
@@ -35,17 +43,14 @@ def test_resume_skips_completed_measurements(dataset, configurations):
             CountingAmazon.trained += 1
             return super()._assemble(handle, X, y)
 
-    full = runner.sweep(
-        CountingAmazon(random_state=0), [dataset], configurations,
-        resume_from=partial,
-    )
+    full = _campaign(CountingAmazon(random_state=0), dataset, configurations,
+                     resume_from=partial)
     assert len(full) == 3
     assert CountingAmazon.trained == 1  # only the missing config ran
 
 
 def test_resume_ignores_other_platforms(dataset, configurations):
-    runner = ExperimentRunner(split_seed=0)
-    partial = runner.sweep(Amazon(random_state=0), [dataset], configurations[:1])
+    partial = _campaign(Amazon(random_state=0), dataset, configurations[:1])
     # Pretend the partial store came from a different platform.
     foreign = ResultStore()
     for result in partial:
@@ -55,37 +60,27 @@ def test_resume_ignores_other_platforms(dataset, configurations):
             configuration=result.configuration,
             metrics=result.metrics,
         ))
-    full = runner.sweep(
-        Amazon(random_state=0), [dataset], configurations[:1],
-        resume_from=foreign,
-    )
+    full = _campaign(Amazon(random_state=0), dataset, configurations[:1],
+                     resume_from=foreign)
     # Foreign results are not ours; the measurement re-runs.
     assert len(full.for_platform("amazon")) == 1
 
 
 def test_checkpoint_written(tmp_path, dataset, configurations):
-    runner = ExperimentRunner(split_seed=0)
     path = tmp_path / "checkpoint.json"
-    store = runner.sweep(
-        Amazon(random_state=0), [dataset], configurations,
-        checkpoint_path=path, checkpoint_every=1,
-    )
+    store = _campaign(Amazon(random_state=0), dataset, configurations,
+                      checkpoint_path=path, checkpoint_every=1)
     assert path.exists()
     loaded = ResultStore.load(path)
     assert len(loaded) == len(store) == 3
 
 
 def test_resume_from_checkpoint_roundtrip(tmp_path, dataset, configurations):
-    runner = ExperimentRunner(split_seed=0)
     path = tmp_path / "checkpoint.json"
-    runner.sweep(
-        Amazon(random_state=0), [dataset], configurations[:2],
-        checkpoint_path=path,
-    )
-    resumed = runner.sweep(
-        Amazon(random_state=0), [dataset], configurations,
-        resume_from=ResultStore.load(path),
-    )
+    _campaign(Amazon(random_state=0), dataset, configurations[:2],
+              checkpoint_path=path)
+    resumed = _campaign(Amazon(random_state=0), dataset, configurations,
+                        resume_from=ResultStore.load(path))
     assert len(resumed) == 3
     scores = [r.f_score for r in resumed]
     assert all(0.0 <= s <= 1.0 for s in scores)
@@ -93,8 +88,8 @@ def test_resume_from_checkpoint_roundtrip(tmp_path, dataset, configurations):
 
 def test_interrupted_sweep_resumes_to_identical_store(
         tmp_path, dataset, configurations):
-    """An interrupted sweep, resumed from its checkpoint, matches an
-    uninterrupted run record for record."""
+    """An interrupted campaign, resumed from its checkpoint, matches the
+    uninterrupted serial sweep record for record."""
     uninterrupted = ExperimentRunner(split_seed=0).sweep(
         Amazon(random_state=0), [dataset], configurations,
     )
@@ -112,17 +107,14 @@ def test_interrupted_sweep_resumes_to_identical_store(
 
     path = tmp_path / "interrupted.json"
     with pytest.raises(RuntimeError, match="simulated process crash"):
-        ExperimentRunner(split_seed=0).sweep(
-            CrashingAmazon(random_state=0), [dataset], configurations,
-            checkpoint_path=path, checkpoint_every=1,
-        )
+        _campaign(CrashingAmazon(random_state=0), dataset, configurations,
+                  checkpoint_path=path, checkpoint_every=1)
     partial = ResultStore.load(path)
     assert len(partial) == 2  # the first two measurements survived
 
-    resumed = ExperimentRunner(split_seed=0).sweep(
-        Amazon(random_state=0), [dataset], configurations,
-        resume_from=partial, checkpoint_path=path, checkpoint_every=1,
-    )
+    resumed = _campaign(Amazon(random_state=0), dataset, configurations,
+                        resume_from=partial, checkpoint_path=path,
+                        checkpoint_every=1)
     assert [r.to_dict() for r in resumed] == \
            [r.to_dict() for r in uninterrupted]
     # The final checkpoint also round-trips to the identical store.

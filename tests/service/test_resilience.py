@@ -1,8 +1,9 @@
 """Tests for the retrying platform client and its backoff policy."""
 
-import numpy as np
 import pytest
 
+from repro.core import Configuration, ExperimentRunner
+from repro.datasets import load_dataset
 from repro.exceptions import (
     JobFailedError,
     QuotaExceededError,
@@ -146,18 +147,19 @@ def test_client_retries_transient_job_failures(data):
     assert errors["JobFailedError"] == 2
 
 
-def test_client_awaits_async_platforms(data):
-    X, y, X_test = data
-    platform = Microsoft(random_state=3, synchronous=False)
-    client = ResilientClient(platform)
-    dataset_id = client.upload_dataset(X, y)
-    model_id = client.create_model(dataset_id, classifier="RF")
-    # The client polled the queued job to completion before returning.
-    predictions = client.batch_predict(model_id, X_test)
-    sync = Microsoft(random_state=3, synchronous=True)
-    ds = sync.upload_dataset(X, y)
-    reference = sync.batch_predict(sync.create_model(ds, classifier="RF"), X_test)
-    assert np.array_equal(predictions, reference)
+def test_client_awaits_async_platforms():
+    # run_one sees the queued job and polls it to completion through the
+    # client, so the async measurement equals the synchronous one.
+    dataset = load_dataset("synthetic/linear", size_cap=150)
+    configuration = Configuration.make(classifier="RF")
+    runner = ExperimentRunner(split_seed=0)
+    client = ResilientClient(Microsoft(random_state=3, synchronous=False))
+    measured = runner.run_one(client, dataset, configuration)
+    assert measured.ok
+    assert client.telemetry.platform_requests("microsoft")["await_model"] == 1
+    reference = runner.run_one(Microsoft(random_state=3), dataset,
+                               configuration)
+    assert measured == reference
 
 
 def test_jitter_stream_is_deterministic(data):

@@ -1,11 +1,11 @@
-"""Thread-stress test for the scheduler's determinism contract.
+"""Thread-stress test for the thread executor's determinism contract.
 
 One lucky pass proves little for concurrent code: races surface on
 specific interleavings.  This test hammers the same small campaign
-through :class:`CampaignScheduler` with several workers *many times*
-under a fixed seed and asserts every run is bit-identical to the
-serial sweep — exercising the slot table, the per-platform caps, the
-condition-variable handoff, and the off-lock checkpoint writes under
+through the thread executor of :func:`run_campaign` with several
+workers *many times* under a fixed seed and asserts every run is
+bit-identical to the serial sweep — exercising the slot table, the
+per-platform cap, the queue handoff, and the checkpoint writes under
 genuinely different thread schedules each iteration.
 """
 
@@ -16,7 +16,7 @@ from repro.core.config_space import baseline_configuration
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.platforms import Amazon, BigML, Google
-from repro.service import CampaignScheduler
+from repro.service import run_campaign
 
 PLATFORM_CLASSES = [Google, Amazon, BigML]
 STRESS_ITERATIONS = 12
@@ -42,10 +42,10 @@ def serial(corpus):
 
 def _run_campaign(corpus, workers, **kwargs):
     platforms = [cls(random_state=0) for cls in PLATFORM_CLASSES]
-    scheduler = CampaignScheduler(workers=workers, seed=0, **kwargs)
-    store = scheduler.run(
+    store = run_campaign(
         ExperimentRunner(split_seed=7), platforms, corpus,
         {p.name: [baseline_configuration(p)] for p in platforms},
+        workers=workers, **kwargs,
     )
     return list(store)
 
@@ -56,26 +56,12 @@ def test_repeated_concurrent_campaigns_stay_bit_identical(corpus, serial):
         assert results == serial, f"diverged on iteration {iteration}"
 
 
-def test_stress_with_platform_cap_and_tight_backpressure(corpus, serial):
-    for iteration in range(STRESS_ITERATIONS // 2):
-        results = _run_campaign(
-            corpus, workers=4, per_platform_cap=2, backpressure=2,
-        )
-        assert results == serial, f"diverged on iteration {iteration}"
-
-
 def test_stress_with_checkpointing_every_result(corpus, serial, tmp_path):
-    # checkpoint_every=1 forces a snapshot/write race window after every
-    # measurement; the final checkpoint must also round-trip losslessly.
+    # checkpoint_every=1 writes a checkpoint after every measurement
+    # while the workers run; the final one must round-trip losslessly.
     for iteration in range(STRESS_ITERATIONS // 2):
         checkpoint = tmp_path / f"ckpt_{iteration}.json"
-        platforms = [cls(random_state=0) for cls in PLATFORM_CLASSES]
-        scheduler = CampaignScheduler(workers=4, seed=0)
-        store = scheduler.run(
-            ExperimentRunner(split_seed=7), platforms, corpus,
-            {p.name: [baseline_configuration(p)] for p in platforms},
-            checkpoint_path=checkpoint,
-            checkpoint_every=1,
-        )
-        assert list(store) == serial, f"diverged on iteration {iteration}"
+        store = _run_campaign(corpus, workers=4, checkpoint_path=checkpoint,
+                              checkpoint_every=1)
+        assert store == serial, f"diverged on iteration {iteration}"
         assert list(ResultStore.load(checkpoint)) == serial

@@ -3,7 +3,7 @@
 The same small-corpus measurement campaign is run three ways — the
 in-process serial sweep, an HTTP sweep through
 :class:`HTTPPlatformClient` against a live loopback server, and the
-concurrent :class:`CampaignScheduler` with HTTP clients (repeated, in
+thread executor of :func:`run_campaign` with HTTP clients (repeated, in
 the thread-stress pattern of ``tests/service/test_thread_stress.py``) —
 and every result list must compare equal.  Because
 :class:`~repro.core.results.ExperimentResult` equality covers platform,
@@ -21,7 +21,7 @@ from repro.core.config_space import baseline_configuration
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.platforms import Amazon, BigML, Google
-from repro.service import CampaignScheduler
+from repro.service import run_campaign
 from repro.serving import HTTPPlatformClient, ServingGateway, serve_background
 
 PLATFORM_CLASSES = [Google, Amazon, BigML]
@@ -94,11 +94,11 @@ def test_concurrent_http_campaigns_stay_bit_identical(corpus, serial,
                                                       server):
     for iteration in range(STRESS_ITERATIONS):
         with _clients(server, f"stress{iteration}") as clients:
-            scheduler = CampaignScheduler(workers=4, seed=0)
-            store = scheduler.run(
+            store = run_campaign(
                 ExperimentRunner(split_seed=7), clients, corpus,
                 {client.name: [baseline_configuration(client)]
                  for client in clients},
+                workers=4,
             )
         assert list(store) == serial, f"diverged on iteration {iteration}"
 

@@ -62,6 +62,30 @@ def test_campaign_runs_and_matches_serial(tmp_path):
     assert telemetry_path.exists()
 
 
+@pytest.mark.parametrize("executor", [
+    ("--workers", "1"), ("--workers", "4"), ("--processes", "2"),
+])
+def test_campaign_prints_one_telemetry_line_for_every_executor(executor):
+    output = run_cli("campaign", *executor, "--datasets", "2",
+                     "--size-cap", "100", "--compare-serial")
+    assert "IDENTICAL" in output
+    (line,) = [line for line in output.splitlines()
+               if line.startswith("telemetry: ")]
+    counts = {}
+    for part in line[len("telemetry: "):].split(", "):
+        value, label = part.split(" ", 1)
+        counts[label] = int(value)
+    assert list(counts) == ["jobs", "resumed", "failed", "requests",
+                            "retries", "shards", "fit cache hits",
+                            "fit cache misses"]
+    assert counts["jobs"] == 14 and counts["resumed"] == 0
+    # A counter an executor does not keep reads 0.
+    if executor[0] == "--processes":
+        assert counts["shards"] == 2 and counts["requests"] == 0
+    else:
+        assert counts["shards"] == 0 and counts["requests"] > 0
+
+
 def test_campaign_checkpoint_resume(tmp_path):
     checkpoint = tmp_path / "campaign.json"
     first = run_cli(

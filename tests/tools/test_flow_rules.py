@@ -7,6 +7,7 @@ layering spec applies, with one deliberate violation per rule family.
 fixture analyses.
 """
 
+import json
 from pathlib import Path
 
 from repro.tools.check import run_analyzer
@@ -134,6 +135,26 @@ def test_f105_flags_signature_and_export_drift():
     assert "removed_name" in messages          # export dropped vs. spec
     assert "signature changed" in messages     # default 0.9 -> 0.5
     assert "(X, threshold=0.5)" in messages
+
+
+def test_f105_reports_a_kind_change_once_and_names_the_command(tmp_path):
+    # The spec records predict_scores as a re-export the module did not
+    # list in __all__; the tree defines it as a function and exports it.
+    spec = tmp_path / "api_spec.json"
+    spec.write_text(json.dumps({"version": 1, "modules": {
+        "repro.learn.surface": {
+            "exports": [],
+            "symbols": {"predict_scores": {
+                "kind": "reexport", "from": "repro.learn.elsewhere"}},
+        },
+    }}), encoding="utf-8")
+    result = run_fixture("f105_drift", [ApiDriftRule(spec_path=spec)])
+    messages = [v.message for v in result.unsuppressed if v.code == "F105"]
+    assert len(messages) == 2, messages
+    gained, kind = sorted(messages, key=lambda m: "kind" in m)
+    assert "gained names ['predict_scores']" in gained
+    assert "run 'repro check --update-spec flow'" in gained
+    assert "kind changed from 'reexport' to 'function'" in kind
 
 
 def test_f105_missing_spec_is_reported():
