@@ -121,10 +121,11 @@ def _loop_model(loaded):
 
 
 def _update_perf(loaded, path: Path) -> str:
-    from repro.tools.perf.complexity import derive_complexity, write_spec
+    from repro.tools.perf.complexity import derive_complexity, render_spec
+    from repro.tools.specs import write_literal_spec
 
     spec = derive_complexity(_loop_model(loaded))
-    write_spec(spec, path)
+    write_literal_spec(render_spec(spec), path)
     return f"wrote derived complexity of {len(spec)} estimator(s) to {path}"
 
 
@@ -141,10 +142,11 @@ def _shape_model(loaded):
 
 
 def _update_shape(loaded, path: Path) -> str:
-    from repro.tools.shape.contracts import derive_contracts, write_spec
+    from repro.tools.shape.contracts import derive_contracts, render_spec
+    from repro.tools.specs import write_literal_spec
 
     spec = derive_contracts(_shape_model(loaded))
-    write_spec(spec, path)
+    write_literal_spec(render_spec(spec), path)
     return (f"wrote derived array contracts of {len(spec)} estimator(s) "
             f"to {path}")
 
@@ -164,10 +166,11 @@ def _wire_model(loaded):
 
 
 def _update_wire(loaded, path: Path) -> str:
-    from repro.tools.wire.spec import derive_wire_spec, write_spec
+    from repro.tools.specs import write_literal_spec
+    from repro.tools.wire.spec import derive_wire_spec, render_spec
 
     spec = derive_wire_spec(_wire_model(loaded))
-    write_spec(spec, path)
+    write_literal_spec(render_spec(spec), path)
     return (f"wrote derived wire contract ({len(spec['routes'])} "
             f"route(s), {len(spec['client'])} client method(s), "
             f"{len(spec['errors'])} error kind(s)) to {path}")

@@ -33,7 +33,7 @@ import ast
 from typing import Iterator
 
 from repro.tools.flow import apispec
-from repro.tools.flow.graph import FlowIndex, import_bindings
+from repro.tools.flow.graph import FlowIndex
 from repro.tools.flow.layers_spec import LAYERS, layer_of
 from repro.tools.flow.taint import analyze_project_taint
 from repro.tools.lint.engine import ModuleInfo, Project, Rule, Violation
@@ -398,7 +398,7 @@ class DeadCodeRule(FlowRule):
 
     def _context_refs(self, context: ModuleInfo) -> Iterator[tuple]:
         """Symbols a benchmark/example/test module reaches into."""
-        bindings = import_bindings(context)
+        bindings = context.bindings
         for binding in bindings.values():
             if binding.symbol is None:
                 continue

@@ -19,11 +19,15 @@ one parse and one index build.
 
 Derived facts follow one contract: they are lazy, read-only, and live
 on the :class:`~repro.tools.lint.engine.Project`, the
-:class:`~repro.tools.lint.engine.ModuleInfo` objects or the analyzer
-models (:meth:`IndexedProject.memo`) of one cache entry, so they die
-with it.  Each is built on first use inside a check, never while the
-index is built: the module node lists, the class table and its
-subclass closures, and every analyzer model.
+:class:`~repro.tools.lint.engine.ModuleInfo` objects, the flow index or
+the analyzer models (:meth:`IndexedProject.memo`) of one cache entry,
+so they die with it.  Each is built on first use inside a check, never
+while the index is built: the module node lists, the numpy aliases, the
+class table and its subclass closures, the call-target map and every
+analyzer model.  The one exception is a module's import table
+(:attr:`~repro.tools.lint.engine.ModuleInfo.bindings`): the index build
+fills it from the walk it makes anyway, and every analyzer reads that
+table, so each module's is built once per entry.
 """
 
 from __future__ import annotations

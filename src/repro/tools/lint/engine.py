@@ -11,6 +11,12 @@ Rules come in two flavours:
   which is what lets R002 resolve the estimator class hierarchy across
   modules and R003 diff every vendor module against ``table1_spec``.
 
+The engine also holds what every analyzer reads the same way: each
+module's import table (:attr:`ModuleInfo.bindings`, relative imports
+resolved), its numpy aliases, :func:`dotted_path`, :func:`safe_unparse`,
+:func:`names_in`/:func:`store_names`, and :class:`FunctionRule`, the
+base of the rules that report inside a model's functions.
+
 Suppression comments have the form::
 
     something_risky()  # repro: disable=R001 -- why this is safe
@@ -36,6 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ENGINE_CODE",
+    "Binding",
+    "FunctionRule",
     "LintResult",
     "ModuleInfo",
     "Project",
@@ -45,11 +53,17 @@ __all__ = [
     "Violation",
     "apply_suppressions",
     "dotted_path",
+    "import_bindings",
     "iter_python_files",
     "load_module",
+    "names_in",
+    "numpy_attr",
     "parse_suppressions",
     "register_rule",
+    "resolve_relative",
     "run_rules",
+    "safe_unparse",
+    "store_names",
     "suppression_violations",
 ]
 
@@ -95,12 +109,67 @@ class Suppression:
         return self.line + 1 if self.standalone else self.line
 
 
+@dataclass(frozen=True)
+class Binding:
+    """One import binding: local name -> (module, symbol) origin."""
+
+    module: str
+    symbol: str | None  # None when the binding is the module object itself
+
+    @property
+    def dotted(self) -> str:
+        """Dotted path of the bound object (``module.symbol``)."""
+        return self.module if self.symbol is None \
+            else f"{self.module}.{self.symbol}"
+
+
+def resolve_relative(package: str, module: str | None, level: int) -> str | None:
+    """Absolute dotted target of a (possibly relative) ``from`` import."""
+    if level == 0:
+        return module
+    parts = package.split(".") if package else []
+    if level > len(parts):
+        return None
+    base = parts[: len(parts) - (level - 1)]
+    if module:
+        base.extend(module.split("."))
+    return ".".join(base) if base else None
+
+
+def import_bindings(module: "ModuleInfo", nodes: Iterable | None = None) -> dict:
+    """Map local name -> :class:`Binding` for every import in ``module``.
+
+    ``nodes``: its nodes (or imports) in ``ast.walk`` order;
+    :attr:`ModuleInfo.nodes` if omitted.  Relative imports resolve
+    against the module's package.  Read the table through
+    :attr:`ModuleInfo.bindings`, which builds it once per module.
+    """
+    bindings: dict[str, Binding] = {}
+    for node in module.nodes if nodes is None else nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                bindings[local] = Binding(module=target, symbol=None)
+        elif isinstance(node, ast.ImportFrom):
+            target = resolve_relative(module.package, node.module, node.level)
+            if target is None:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                bindings[local] = Binding(module=target, symbol=alias.name)
+    return bindings
+
+
 @dataclass
 class ModuleInfo:
     """One parsed source file.
 
-    The derived facts (:attr:`dotted_name`, :attr:`nodes`) are computed
-    on first use and kept on the instance; treat them as read-only.
+    The derived facts (:attr:`dotted_name`, :attr:`nodes`,
+    :attr:`bindings`, :attr:`numpy_aliases`) are computed on first use
+    and kept on the instance; treat them as read-only.
     """
 
     path: Path
@@ -125,10 +194,36 @@ class ModuleInfo:
             parts.pop()
         return ".".join(parts)
 
+    @property
+    def package(self) -> str:
+        """The package relative imports in this module resolve against."""
+        if self.path.name == "__init__.py":
+            return self.dotted_name
+        return self.dotted_name.rpartition(".")[0]
+
     @cached_property
     def nodes(self) -> list:
         """Every node of :attr:`tree`, in ``ast.walk`` order, walked once."""
         return list(ast.walk(self.tree))
+
+    @cached_property
+    def bindings(self) -> dict:
+        """The module's import table: local name -> :class:`Binding`.
+
+        :func:`repro.tools.flow.graph.build_index` fills it from its own
+        walk, so an indexed module never walks its tree again for it.
+        """
+        return import_bindings(self)
+
+    @cached_property
+    def numpy_aliases(self) -> frozenset:
+        """Local names bound to the numpy module, plus ``np`` and ``numpy``."""
+        return frozenset({"np", "numpy"} | {
+            local for local, binding in self.bindings.items()
+            if binding.symbol is None and (
+                binding.module == "numpy"
+                or binding.module.startswith("numpy."))
+        })
 
     def top_level_assign(self, name: str) -> ast.expr | None:
         """The value expression bound to ``name`` at module top level."""
@@ -232,6 +327,39 @@ def dotted_path(node: ast.expr) -> tuple | None:
     return None
 
 
+def numpy_attr(func: ast.expr, aliases) -> str | None:
+    """``np.foo`` -> ``"foo"`` when the root name is one of ``aliases``."""
+    if (isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in aliases):
+        return func.attr
+    return None
+
+
+def safe_unparse(node: ast.AST, limit: int | None = None) -> str:
+    """Source text of ``node``, cut to ``limit`` characters with ``…``."""
+    try:
+        text = ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse never fails on ast.parse output
+        text = "<expr>"
+    if limit is None or len(text) <= limit:
+        return text
+    return text[: limit - 1] + "…"
+
+
+def names_in(node: ast.AST) -> set:
+    """Every plain name read or written anywhere under ``node``."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def store_names(node: ast.AST) -> set:
+    """Every plain name stored anywhere under ``node`` (incl. loop targets)."""
+    return {
+        n.id for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
 def _final_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
@@ -254,6 +382,35 @@ class Rule:
     def check_project(self, project: Project) -> Iterable[Violation]:
         """Yield violations needing a whole-project view (override if used)."""
         return ()
+
+
+class FunctionRule(Rule):
+    """Base class for rules reporting inside a model's functions.
+
+    The race, perf and shape rules read one model per run; each finding
+    sits in one function record (anything with ``key`` and ``relpath``)
+    and names its qualname.  ``model`` is the injected model (the race
+    rules keep theirs on ``con``).
+    """
+
+    def __init__(self, model=None):
+        self.model = model
+
+    def _violation(self, fn, line: int, col: int, message: str) -> Violation:
+        return Violation(
+            code=self.code,
+            message=f"{message} [{fn.key[1] or '<module>'}]",
+            path=fn.relpath,
+            line=line,
+            col=col,
+        )
+
+    def _functions(self) -> Iterator:
+        """The model's function records in analyzed modules, by key."""
+        analyzed = {m.dotted_name for m in self.model.index.project.modules}
+        for key in sorted(self.model.functions):
+            if key[0] in analyzed:
+                yield self.model.functions[key]
 
 
 #: Registry of rule code -> rule class, filled by ``@register_rule``.

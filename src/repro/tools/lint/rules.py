@@ -50,24 +50,6 @@ __all__ = [
 ]
 
 
-def _import_bindings(module: ModuleInfo) -> dict:
-    """Map local name -> dotted origin for every import in the module."""
-    bindings: dict[str, str] = {}
-    for node in module.nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                origin = alias.name if alias.asname else alias.name.split(".")[0]
-                bindings[local] = origin
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                bindings[local] = f"{node.module}.{alias.name}"
-    return bindings
-
-
 # ---------------------------------------------------------------------------
 # R001 — determinism
 # ---------------------------------------------------------------------------
@@ -98,16 +80,15 @@ class DeterminismRule(Rule):
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Violation]:
         """Scan one module for unseeded RNG constructions."""
-        bindings = _import_bindings(module)
         for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             path = dotted_path(node.func)
             if path is None:
                 continue
-            origin = bindings.get(path[0])
-            if origin is not None:
-                resolved = (*origin.split("."), *path[1:])
+            binding = module.bindings.get(path[0])
+            if binding is not None:
+                resolved = (*binding.dotted.split("."), *path[1:])
             else:
                 resolved = path
             message = self._diagnose(resolved, node)
@@ -576,10 +557,9 @@ def _resolve_name(node: ast.Name, module: ModuleInfo, project: Project, depth: i
     value = module.top_level_assign(node.id)
     if value is not None:
         return _resolve(value, module, project, depth + 1)
-    imports = _import_bindings(module)
-    origin = imports.get(node.id)
-    if origin is not None and "." in origin:
-        origin_module, _, origin_name = origin.rpartition(".")
+    binding = module.bindings.get(node.id)
+    if binding is not None and "." in binding.dotted:
+        origin_module, _, origin_name = binding.dotted.rpartition(".")
         source = project.module_by_dotted_name(origin_module)
         if source is not None:
             value = source.top_level_assign(origin_name)
@@ -667,9 +647,8 @@ class ExceptionHygieneRule(Rule):
         allowed = set(_BUILTIN_EXCEPTIONS)
         allowed |= project.subclasses_of({"ReproError"}) | {"ReproError"}
         for module in project.modules:
-            imports = _import_bindings(module)
-            for local, origin in imports.items():
-                if origin.startswith("repro.exceptions."):
+            for local, binding in module.bindings.items():
+                if binding.dotted.startswith("repro.exceptions."):
                     allowed.add(local)
             for node in module.nodes:
                 if isinstance(node, ast.ExceptHandler):

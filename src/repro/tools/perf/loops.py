@@ -30,8 +30,15 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.tools.flow.graph import FlowIndex, FunctionInfo
+from repro.tools.lint.engine import (
+    names_in,
+    numpy_attr,
+    safe_unparse,
+    store_names,
+)
 
 __all__ = [
+    "AXIS_NAMES",
     "DEPTH_CAP",
     "DIMS",
     "FunctionLoops",
@@ -48,11 +55,14 @@ DIMS = ("samples", "features", "estimators", "iterations", "classes")
 #: stable.
 DEPTH_CAP = 6
 
-_SAMPLE_NAMES = frozenset({"n_samples", "n_rows", "n_points", "n_queries"})
-_FEATURE_NAMES = frozenset({"n_features", "n_cols", "n_columns"})
-_ESTIMATOR_NAMES = frozenset({
-    "n_estimators", "n_members", "n_dags", "n_trees", "n_models",
-})
+#: Size names that measure one axis (the shape analyzer reads them too).
+AXIS_NAMES = {
+    **dict.fromkeys(("n_samples", "n_rows", "n_points", "n_queries"),
+                    "samples"),
+    **dict.fromkeys(("n_features", "n_cols", "n_columns"), "features"),
+    **dict.fromkeys(("n_estimators", "n_members", "n_dags", "n_trees",
+                     "n_models"), "estimators"),
+}
 _ITERATION_NAMES = frozenset({
     "max_iter", "n_iter", "n_epochs", "epochs", "n_restarts", "n_attempts",
     "optimization_steps", "n_splits", "n_folds", "max_depth", "max_width",
@@ -162,7 +172,7 @@ class LoopModel:
         """
         if self._depths is not None:
             return self._depths
-        targets = _call_targets(self.index)
+        targets = self.index.call_targets
         depths: dict = {key: dict(fn.own_dims)
                         for key, fn in self.functions.items()}
         for _ in range(4 * DEPTH_CAP):
@@ -170,7 +180,7 @@ class LoopModel:
             for key, fn in self.functions.items():
                 current = dict(depths[key])
                 for call_node, chain in fn.call_records:
-                    target = targets.get((key, id(call_node)))
+                    target = targets.get(id(call_node))
                     if target is None or target not in depths:
                         continue
                     counts: dict = {}
@@ -191,47 +201,6 @@ class LoopModel:
                 break
         self._depths = depths
         return depths
-
-
-def _call_targets(index: FlowIndex) -> dict:
-    """``(caller key, id(call node)) -> callee key`` for resolved calls."""
-    targets: dict = {}
-    for caller, sites in index.calls.items():
-        for site in sites:
-            if site.target is not None:
-                targets[(caller, id(site.node))] = site.target
-    return targets
-
-
-def _numpy_aliases(index: FlowIndex, module_name: str) -> set:
-    """Local names bound to the numpy module in ``module_name``."""
-    aliases = {"np", "numpy"}
-    for local, binding in index.bindings.get(module_name, {}).items():
-        if binding.symbol is None and (
-                binding.module == "numpy"
-                or binding.module.startswith("numpy.")):
-            aliases.add(local)
-    return aliases
-
-
-def _safe_unparse(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse never fails on ast.parse output
-        text = "<expr>"
-    return text if len(text) <= limit else text[: limit - 1] + "…"
-
-
-def _names_in(node: ast.AST) -> set:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _store_names(node: ast.AST) -> set:
-    """Every plain name stored anywhere under ``node`` (incl. loop targets)."""
-    return {
-        n.id for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-    }
 
 
 def _stored_attrs(node: ast.AST) -> set:
@@ -290,14 +259,6 @@ class _FunctionWalker:
                 arrays.add(arg.arg)
         return arrays
 
-    def _is_numpy_func(self, func: ast.expr) -> str | None:
-        """``np.foo`` -> ``"foo"`` when the root name aliases numpy."""
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.np):
-            return func.attr
-        return None
-
     def _is_arrayish(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Name):
             return node.id in self.arrays
@@ -311,7 +272,7 @@ class _FunctionWalker:
         if isinstance(node, ast.UnaryOp):
             return self._is_arrayish(node.operand)
         if isinstance(node, ast.Call):
-            name = self._is_numpy_func(node.func)
+            name = numpy_attr(node.func, self.np)
             if name in _ARRAY_MAKERS:
                 return True
             if isinstance(node.func, ast.Attribute):
@@ -383,15 +344,9 @@ class _FunctionWalker:
 
     @staticmethod
     def _dim_of_name(name: str) -> str | None:
-        if name in _SAMPLE_NAMES:
-            return "samples"
-        if name in _FEATURE_NAMES:
-            return "features"
-        if name in _ESTIMATOR_NAMES:
-            return "estimators"
         if name in _ITERATION_NAMES:
             return "iterations"
-        return None
+        return AXIS_NAMES.get(name)
 
     def _classify_iter(self, node: ast.expr) -> tuple:
         """``(dim, chunked, direct)`` for a loop's iterable expression."""
@@ -405,7 +360,7 @@ class _FunctionWalker:
                     and node.args:
                 dim, chunked, _ = self._classify_iter(node.args[0])
                 return dim, chunked, self._is_arrayish(node.args[0])
-            name = self._is_numpy_func(func)
+            name = numpy_attr(func, self.np)
             if name == "unique":
                 return "classes", False, False
             if isinstance(func, ast.Attribute) and \
@@ -416,7 +371,7 @@ class _FunctionWalker:
                 return None, False, True
             return None, False, False
         if self._is_arrayish(node):
-            hint = _safe_unparse(node, limit=200)
+            hint = safe_unparse(node, 200)
             dim = "features" if ("feature" in hint or "column" in hint) \
                 else "samples"
             return dim, False, True
@@ -426,7 +381,7 @@ class _FunctionWalker:
 
     def run(self) -> FunctionLoops:
         self._propagate_arrays()
-        source = _names_in(self.info.node) | _attr_names(self.info.node)
+        source = names_in(self.info.node) | _attr_names(self.info.node)
         all_params = set(self.info.all_param_names(skip_self=False))
         self.out.touches_cache = bool(
             (_CACHE_MARKERS & source) or (_CACHE_MARKERS & all_params)
@@ -473,13 +428,13 @@ class _FunctionWalker:
     def _enter_loop(self, stmt, kind: str) -> None:
         if kind == "for":
             dim, chunked, direct = self._classify_iter(stmt.iter)
-            targets = tuple(sorted(_store_names(stmt.target)))
-            iter_source = _safe_unparse(stmt.iter)
+            targets = tuple(sorted(store_names(stmt.target)))
+            iter_source = safe_unparse(stmt.iter, 60)
             self._scan_expr(stmt.iter)  # header evaluated in the outer scope
         else:
             dim, chunked, direct = None, False, False
             targets = ()
-            iter_source = _safe_unparse(stmt.test)
+            iter_source = safe_unparse(stmt.test, 60)
         loop = LoopInfo(
             lineno=stmt.lineno, col=stmt.col_offset, kind=kind, dim=dim,
             chunked=chunked, direct=direct, iter_source=iter_source,
@@ -490,7 +445,7 @@ class _FunctionWalker:
         self.out.loops.append(loop)
         self._loop_stack.append(loop)
         self._tainted_stack.append(
-            (_store_names(stmt) | set(targets), _stored_attrs(stmt))
+            (store_names(stmt) | set(targets), _stored_attrs(stmt))
         )
         if kind == "while":
             self._scan_expr(stmt.test)  # re-evaluated every iteration
@@ -525,7 +480,7 @@ class _FunctionWalker:
         for target in targets:
             if isinstance(target, ast.Subscript) \
                     and self._is_arrayish(target.value) \
-                    and (_names_in(target.slice) & loop_vars):
+                    and (names_in(target.slice) & loop_vars):
                 loop.elem_writes += 1
         value = stmt.value
         if value is None:
@@ -537,20 +492,20 @@ class _FunctionWalker:
                 continue
             grows = False
             if isinstance(value, ast.Call):
-                name = self._is_numpy_func(value.func)
-                if name in _GROWTH_CALLS and target.id in _names_in(value):
+                name = numpy_attr(value.func, self.np)
+                if name in _GROWTH_CALLS and target.id in names_in(value):
                     grows = True
             elif isinstance(value, ast.BinOp) \
                     and isinstance(value.op, ast.Add) \
                     and not isinstance(stmt, ast.AugAssign) \
-                    and target.id in _names_in(value) \
+                    and target.id in names_in(value) \
                     and (self._is_arrayish(value)
                          or isinstance(value.left, (ast.List, ast.ListComp))
                          or isinstance(value.right, (ast.List, ast.ListComp))):
                 grows = True
             if grows:
                 loop.growth_sites.append(
-                    (stmt.lineno, stmt.col_offset, _safe_unparse(stmt))
+                    (stmt.lineno, stmt.col_offset, safe_unparse(stmt, 60))
                 )
         # Estimator construction for P304 (``model = clone(est)`` /
         # ``model = SomeClass(...)``).
@@ -565,7 +520,7 @@ class _FunctionWalker:
         )
         if loop is None:
             return
-        np_name = self._is_numpy_func(node.func)
+        np_name = numpy_attr(node.func, self.np)
         is_array_op = bool(
             (np_name is not None and node.args)
             or (isinstance(node.func, ast.Attribute)
@@ -576,12 +531,12 @@ class _FunctionWalker:
             loop.array_ops += 1
         if np_name in _ALLOCATORS:
             loop.alloc_sites.append(
-                (node.lineno, node.col_offset, _safe_unparse(node))
+                (node.lineno, node.col_offset, safe_unparse(node, 60))
             )
         if isinstance(node.func, ast.Attribute):
             if node.func.attr == "append" and \
                     not self._is_arrayish(node.func.value):
-                receiver_names = _names_in(node.func.value)
+                receiver_names = names_in(node.func.value)
                 tainted = self._tainted_stack[-1][0] if self._tainted_stack \
                     else set()
                 if not (receiver_names & tainted) or \
@@ -595,7 +550,7 @@ class _FunctionWalker:
         if np_name in _HOISTABLE and self._tainted_stack:
             tainted_names, tainted_attrs = self._tainted_stack[-1]
             arg_nodes = list(node.args) + [kw.value for kw in node.keywords]
-            names = set().union(*map(_names_in, arg_nodes)) if arg_nodes \
+            names = set().union(*map(names_in, arg_nodes)) if arg_nodes \
                 else set()
             attrs = set().union(*map(_attr_names, arg_nodes)) if arg_nodes \
                 else set()
@@ -606,22 +561,17 @@ class _FunctionWalker:
             if not has_nested_call and not (names & tainted_names) \
                     and not (attrs & tainted_attrs):
                 loop.invariant_calls.append(
-                    (node.lineno, node.col_offset, _safe_unparse(node))
+                    (node.lineno, node.col_offset, safe_unparse(node, 60))
                 )
 
 
 def build_loop_model(index: FlowIndex) -> LoopModel:
     """Extract loop facts for every function in the shared flow index."""
     model = LoopModel(index=index)
-    alias_cache: dict = {}
     for key, info in index.functions.items():
         module = index.modules.get(info.module_name)
         if module is None:
             continue
-        if info.module_name not in alias_cache:
-            alias_cache[info.module_name] = _numpy_aliases(
-                index, info.module_name)
-        walker = _FunctionWalker(
-            info, module.relpath, alias_cache[info.module_name])
+        walker = _FunctionWalker(info, module.relpath, module.numpy_aliases)
         model.functions[key] = walker.run()
     return model

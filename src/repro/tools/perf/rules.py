@@ -26,14 +26,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
+from repro.tools.lint.engine import FunctionRule, Project, Violation
 from repro.tools.perf.complexity import (
     DEFAULT_SPEC_PATH,
     SPEC_DIMS,
     derive_complexity,
-    load_spec,
 )
-from repro.tools.perf.loops import FunctionLoops, LoopModel
+from repro.tools.perf.loops import LoopModel
+from repro.tools.specs import diff_estimator_spec, load_literal_spec
 
 __all__ = [
     "AxisLoopRule",
@@ -58,30 +58,8 @@ _REFIT_SCOPES = (
 )
 
 
-class PerfRule(Rule):
+class PerfRule(FunctionRule):
     """Base class for P-rules; the runner injects the loop model."""
-
-    def __init__(self, model: LoopModel | None = None):
-        self.model = model
-
-    def _violation(self, fn: FunctionLoops, line: int, col: int,
-                   message: str) -> Violation:
-        qualname = fn.key[1] or "<module>"
-        return Violation(
-            code=self.code,
-            message=f"{message} [{qualname}]",
-            path=fn.relpath,
-            line=line,
-            col=col,
-        )
-
-    def _functions(self) -> Iterable[FunctionLoops]:
-        analyzed = {
-            m.dotted_name for m in self.model.index.project.modules
-        }
-        for key in sorted(self.model.functions):
-            if key[0] in analyzed:
-                yield self.model.functions[key]
 
 
 class AxisLoopRule(PerfRule):
@@ -219,73 +197,31 @@ class ComplexitySpecRule(PerfRule):
         super().__init__(model)
         self.spec_path = spec_path
 
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
-
     def check_project(self, project: Project) -> Iterable[Violation]:
         """Compare a fresh derivation against the checked-in spec."""
         derived = derive_complexity(self.model)
-        spec = load_spec(self.spec_path)
-        spec_relpath = self._spec_relpath()
-        if spec is None:
-            yield Violation(
-                code=self.code,
-                message=(
-                    "complexity spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro check --update-spec perf`"
-                ),
-                path=spec_relpath,
-                line=1,
-            )
-            return
-        index = self.model.index
-        for class_path in sorted(derived):
-            module_name, _, class_name = class_path.rpartition(".")
-            node = index.classes.get((module_name, class_name))
-            line = node.lineno if node is not None else 1
-            relpath = index.modules[module_name].relpath \
-                if module_name in index.modules else spec_relpath
-            if class_path not in spec:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"estimator {class_path} is not in the complexity "
+        spec = load_literal_spec(self.spec_path, "COMPLEXITY")
+
+        def message(kind: str, class_path: str) -> str:
+            if kind == "unreadable":
+                return ("complexity spec is missing or unreadable at "
+                        f"{self.spec_path}; run `repro check "
+                        "--update-spec perf`")
+            if kind == "absent":
+                return (f"estimator {class_path} is not in the complexity "
                         "spec; run `repro check --update-spec perf` to "
-                        f"record its derived cost {derived[class_path]!r}"
-                    ),
-                    path=relpath, line=line,
-                )
-            elif spec[class_path] != derived[class_path]:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"derived complexity of {class_path} "
+                        f"record its derived cost {derived[class_path]!r}")
+            if kind == "differs":
+                return (f"derived complexity of {class_path} "
                         f"({derived[class_path]!r}) disagrees with the "
                         f"spec ({spec[class_path]!r}); vectorize back to "
                         "the recorded depth or run `repro check "
-                        "--update-spec perf` to accept the change"
-                    ),
-                    path=relpath, line=line,
-                )
-        analyzed = {m.dotted_name for m in index.project.modules}
-        for class_path in sorted(set(spec) - set(derived)):
-            module_name = class_path.rpartition(".")[0]
-            if module_name in analyzed:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro check "
-                        "--update-spec perf` to drop it"
-                    ),
-                    path=spec_relpath, line=1,
-                )
+                        "--update-spec perf` to accept the change")
+            return (f"spec entry {class_path} matches no analyzed "
+                    "estimator (renamed or removed); run `repro check "
+                    "--update-spec perf` to drop it")
+
+        return diff_estimator_spec(self, derived, spec, message)
 
 
 class HotLoopAllocRule(PerfRule):

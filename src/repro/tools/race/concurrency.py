@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.tools.flow.graph import FlowIndex, dotted_path
+from repro.tools.lint.engine import safe_unparse
 
 __all__ = [
     "Acquisition",
@@ -644,7 +645,7 @@ class _FunctionWalker:
         self.facts.locked_calls.append(LockedCall(
             held=tuple(held), target=target,
             lineno=node.lineno, col=node.col_offset,
-            repr=_safe_unparse(node.func),
+            repr=safe_unparse(node.func),
         ))
         # Bare ``lock.acquire()`` — tracked as an acquisition without a
         # region (the release point is not statically known).
@@ -681,16 +682,16 @@ class _FunctionWalker:
             return None
         attr = func.attr
         if attr == "sleep":
-            return f"{_safe_unparse(func)}()"
+            return f"{safe_unparse(func)}()"
         if attr == "join" and not node.args:
-            return f"{_safe_unparse(func)}()"
+            return f"{safe_unparse(func)}()"
         if attr == "result" and len(node.args) <= 1:
-            return f"{_safe_unparse(func)}()"
+            return f"{safe_unparse(func)}()"
         if attr in _IO_ATTRS:
-            return f"{_safe_unparse(func)}()"
+            return f"{safe_unparse(func)}()"
         if attr in ("get", "put") \
                 and self.scope.kind_of_expr(func.value) == "queue":
-            return f"{_safe_unparse(func)}()"
+            return f"{safe_unparse(func)}()"
         if attr == "wait":
             receiver = self.scope.lock_of_expr(func.value)
             # ``cv.wait()`` while *holding* cv releases it — that is the
@@ -698,7 +699,7 @@ class _FunctionWalker:
             # Waiting on a different condition keeps every held lock
             # pinned for the duration of the wait.
             if receiver is not None and held and receiver not in held:
-                return f"{_safe_unparse(func)}()"
+                return f"{safe_unparse(func)}()"
         return None
 
     def _record_submission(self, node: ast.Call, held) -> None:
@@ -740,11 +741,11 @@ class _FunctionWalker:
             return
         self.facts.submissions.append(PoolSubmission(
             boundary=boundary,
-            func_repr=_safe_unparse(submitted),
+            func_repr=safe_unparse(submitted),
             func_form=self._callable_form(submitted),
             func_target=self._callable_target(submitted),
             unsafe_args=tuple(
-                (_safe_unparse(arg), kind)
+                (safe_unparse(arg), kind)
                 for arg in args
                 if (kind := self.scope.kind_of_expr(arg)) is not None
                 and kind in _UNSAFE_PICKLE_KINDS
@@ -816,7 +817,7 @@ class _FunctionWalker:
             if root_kind == "queue" or root_kind in _LOCK_KINDS:
                 return  # thread-safe by design
             self.facts.mutations.append(Mutation(
-                root=_safe_unparse(container), via_self=False,
+                root=safe_unparse(container), via_self=False,
                 held=tuple(held), lineno=lineno, col=col,
             ))
         else:
@@ -826,7 +827,7 @@ class _FunctionWalker:
             if attr_kind == "queue" or attr_kind in _LOCK_KINDS:
                 return
             self.facts.mutations.append(Mutation(
-                root=_safe_unparse(container), via_self=True,
+                root=safe_unparse(container), via_self=True,
                 held=tuple(held), lineno=lineno, col=col,
             ))
 
@@ -854,7 +855,7 @@ class _FunctionWalker:
         if shared_via is None:
             return
         self.facts.rng_uses.append(RngUse(
-            root=_safe_unparse(receiver), shared_via=shared_via,
+            root=safe_unparse(receiver), shared_via=shared_via,
             held=tuple(held), lineno=node.lineno, col=node.col_offset,
         ))
 
@@ -871,7 +872,7 @@ class _FunctionWalker:
                     continue
                 if root is not None:
                     recent_gets[target.id] = (
-                        root, _safe_unparse(stmt.value.func.value),
+                        root, safe_unparse(stmt.value.func.value),
                     )
                 else:
                     recent_gets.pop(target.id, None)  # rebound: stale
@@ -894,7 +895,7 @@ class _FunctionWalker:
                 and isinstance(test.ops[0], ast.NotIn):
             root = _chain_root(test.comparators[0])
             if root is not None and self._is_shared_root(root):
-                return root, _safe_unparse(test.comparators[0])
+                return root, safe_unparse(test.comparators[0])
         # Form 2: ``x = container.get(k)`` ... ``if x is None:`` / ``if not x:``
         checked = None
         if isinstance(test, ast.Compare) and len(test.ops) == 1 \
@@ -929,31 +930,14 @@ class _FunctionWalker:
                     continue
                 for target in targets:
                     if isinstance(target, ast.Subscript) \
-                            and _safe_unparse(target.value) == root_repr:
+                            and safe_unparse(target.value) == root_repr:
                         return True
         return False
-
-
-def _safe_unparse(node: ast.AST) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed synthetic nodes
-        return "<expr>"
 
 
 # ---------------------------------------------------------------------------
 # Index construction
 # ---------------------------------------------------------------------------
-
-
-def _call_target_map(index: FlowIndex) -> dict:
-    """Map ``id(call node)`` -> resolved in-project function key."""
-    targets: dict = {}
-    for sites in index.calls.values():
-        for site in sites:
-            if site.target is not None:
-                targets[id(site.node)] = site.target
-    return targets
 
 
 def _analyze_function(model, con, call_targets, info) -> None:
@@ -995,7 +979,7 @@ def _resolve_thread_targets(con: ConcurrencyIndex) -> None:
 def build_concurrency(index: FlowIndex) -> ConcurrencyIndex:
     """Build the project-wide concurrency model from the flow index."""
     con = ConcurrencyIndex(index=index)
-    call_targets = _call_target_map(index)
+    call_targets = index.call_targets
     for module in index.project.modules:
         model = _ModuleModel(module, con)
         model.collect()

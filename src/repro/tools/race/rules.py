@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
-from repro.tools.race.concurrency import ConcurrencyIndex, FunctionFacts
+from repro.tools.lint.engine import FunctionRule, Project, Violation
+from repro.tools.race.concurrency import ConcurrencyIndex
 
 __all__ = [
     "BlockingUnderLockRule",
@@ -27,21 +27,11 @@ __all__ = [
 ]
 
 
-class RaceRule(Rule):
+class RaceRule(FunctionRule):
     """Base class for C-rules; the runner injects the concurrency index."""
 
     def __init__(self, con: ConcurrencyIndex | None = None):
         self.con = con
-
-    def _violation(self, facts: FunctionFacts, line: int, col: int,
-                   message: str) -> Violation:
-        return Violation(
-            code=self.code,
-            message=f"{message} [{facts.qualname or '<module>'}]",
-            path=facts.relpath,
-            line=line,
-            col=col,
-        )
 
 
 def _held_names(held) -> str:

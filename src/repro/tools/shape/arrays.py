@@ -41,9 +41,15 @@ import ast
 from dataclasses import dataclass, field, replace
 
 from repro.tools.flow.graph import FlowIndex, FunctionInfo
+from repro.tools.lint.engine import (
+    names_in,
+    numpy_attr,
+    safe_unparse,
+    store_names,
+)
+from repro.tools.perf.loops import AXIS_NAMES, DIMS
 
 __all__ = [
-    "DIM_TOKENS",
     "DTYPE_RANK",
     "ArrayFact",
     "FunctionArrays",
@@ -52,9 +58,6 @@ __all__ = [
     "build_shape_model",
     "join_dtype",
 ]
-
-#: Symbolic dimension tokens the model distinguishes (perf's vocabulary).
-DIM_TOKENS = ("samples", "features", "estimators", "iterations", "classes")
 
 #: The dtype lattice: ``bool < intp/int32/int64 < float64 < object``.
 #: Ranks drive :func:`join_dtype`; equal-rank joins keep the wider name.
@@ -67,11 +70,7 @@ DTYPE_RANK = {
     "object": 3,
 }
 
-#: Parameter-name prefixes seeded as arrays on function entry.
-_SAMPLE_NAMES = frozenset({"n_samples", "n_rows", "n_points", "n_queries"})
-_FEATURE_NAMES = frozenset({"n_features", "n_cols", "n_columns"})
-_ESTIMATOR_NAMES = frozenset({"n_estimators", "n_members", "n_trees",
-                              "n_models", "n_dags"})
+#: Size names beyond perf's :data:`~repro.tools.perf.loops.AXIS_NAMES`.
 _CLASS_NAMES = frozenset({"n_classes"})
 
 #: ``np.<name>`` allocators whose first argument is the result shape.
@@ -132,10 +131,10 @@ def join_dtype(a: str | None, b: str | None) -> str | None:
 class ArrayFact:
     """What the model knows about one array-valued name.
 
-    ``shape`` is a tuple over :data:`DIM_TOKENS` ∪ ints ∪ ``"?"``, or
-    ``None`` when even the rank is unknown.  ``owner`` is one of
-    ``fresh``/``caller``/``view``/``cache``; ``base`` names the aliased
-    array for views.  ``contiguous`` is ``False`` only when the model
+    ``shape`` is a tuple over :data:`~repro.tools.perf.loops.DIMS` ∪
+    ints ∪ ``"?"``, or ``None`` when even the rank is unknown.
+    ``owner`` is one of ``fresh``/``caller``/``view``/``cache``;
+    ``base`` names the aliased array for views.  ``contiguous`` is ``False`` only when the model
     positively derived a strided layout (transpose, column slice).
     """
 
@@ -202,18 +201,14 @@ class ShapeModel:
         """
         if self._validated is not None:
             return self._validated
-        targets = {}
-        for caller, sites in self.index.calls.items():
-            for site in sites:
-                if site.target is not None:
-                    targets[(caller, id(site.node))] = site.target
+        targets = self.index.call_targets
         validated = {key: set(fn.validated_params)
                      for key, fn in self.functions.items()}
         for _ in range(8):
             changed = False
             for key, fn in self.functions.items():
                 for call_node, param_args in fn.forwarded_params:
-                    target = targets.get((key, id(call_node)))
+                    target = targets.get(id(call_node))
                     if target is None or target not in self.functions:
                         continue
                     info = self.index.functions.get(target)
@@ -237,24 +232,6 @@ class ShapeModel:
         return validated
 
 
-def _numpy_aliases(index: FlowIndex, module_name: str) -> set:
-    aliases = {"np", "numpy"}
-    for local, binding in index.bindings.get(module_name, {}).items():
-        if binding.symbol is None and (
-                binding.module == "numpy"
-                or binding.module.startswith("numpy.")):
-            aliases.add(local)
-    return aliases
-
-
-def _safe_unparse(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse never fails on ast.parse output
-        text = "<expr>"
-    return text if len(text) <= limit else text[: limit - 1] + "…"
-
-
 def _dedupe(items: list) -> list:
     seen = set()
     out = []
@@ -265,27 +242,10 @@ def _dedupe(items: list) -> list:
     return out
 
 
-def _names_in(node: ast.AST) -> set:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _store_names(node: ast.AST) -> set:
-    return {
-        n.id for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-    }
-
-
 def _dim_of_name(name: str) -> str | None:
-    if name in _SAMPLE_NAMES:
-        return "samples"
-    if name in _FEATURE_NAMES:
-        return "features"
-    if name in _ESTIMATOR_NAMES:
-        return "estimators"
     if name in _CLASS_NAMES:
         return "classes"
-    return None
+    return AXIS_NAMES.get(name)
 
 
 def broadcast_conflict(a: tuple, b: tuple) -> tuple | None:
@@ -334,13 +294,6 @@ class _FunctionInterpreter:
             shape=("classes",), owner="cache")
 
     # -- expression evaluation -----------------------------------------
-
-    def _np_name(self, func: ast.expr) -> str | None:
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.np):
-            return func.attr
-        return None
 
     def _lookup(self, node: ast.expr) -> ArrayFact | None:
         if isinstance(node, ast.Name):
@@ -466,7 +419,7 @@ class _FunctionInterpreter:
                 self.out.mismatch_sites.append((
                     node.lineno, node.col_offset,
                     f"operands broadcast {conflict[0]!r} against "
-                    f"{conflict[1]!r} in {_safe_unparse(node)}",
+                    f"{conflict[1]!r} in {safe_unparse(node, 60)}",
                 ))
             shape = left.shape if len(left.shape) >= len(right.shape) \
                 else right.shape
@@ -499,7 +452,7 @@ class _FunctionInterpreter:
             self.out.mismatch_sites.append((
                 node.lineno, node.col_offset,
                 f"inner dimensions {inner_left!r} x {inner_right!r} do not "
-                f"contract in {_safe_unparse(node)}",
+                f"contract in {safe_unparse(node, 60)}",
             ))
         out_shape: tuple = ()
         if len(left.shape) > 1:
@@ -565,7 +518,7 @@ class _FunctionInterpreter:
         )
 
     def _eval_call(self, node: ast.Call) -> ArrayFact | None:
-        np_name = self._np_name(node.func)
+        np_name = numpy_attr(node.func, self.np)
         kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
         dtype_expr = kwargs.get("dtype")
         if np_name is not None:
@@ -728,7 +681,7 @@ class _FunctionInterpreter:
                         node.lineno, node.col_offset,
                         f"{np_name} joins incompatible dimensions "
                         f"{conflict[0]!r} and {conflict[1]!r} in "
-                        f"{_safe_unparse(node)}",
+                        f"{safe_unparse(node, 60)}",
                     ))
                     break
         if np_name == "column_stack" and known:
@@ -792,7 +745,7 @@ class _FunctionInterpreter:
         return isinstance(node, ast.Attribute) and node.attr == "newaxis"
 
     def _is_cache_receiver(self, node: ast.expr) -> bool:
-        names = {n.lower() for n in _names_in(node)}
+        names = {n.lower() for n in names_in(node)}
         attrs = {n.attr.lower() for n in ast.walk(node)
                  if isinstance(n, ast.Attribute)}
         return bool((names | attrs) & _CACHE_NAMES)
@@ -850,7 +803,7 @@ class _FunctionInterpreter:
         else:
             self._scan_expr(stmt.test)
             dim = None
-        self._loop_stack.append((dim, kind, _store_names(stmt)))
+        self._loop_stack.append((dim, kind, store_names(stmt)))
         self._visit_block(stmt.body)
         self._visit_block(stmt.orelse)
         self._loop_stack.pop()
@@ -863,13 +816,13 @@ class _FunctionInterpreter:
                 bound = iter_node.args[1] if len(iter_node.args) >= 2 \
                     else iter_node.args[0]
                 entry = self._classify_size(bound)
-                return entry if entry in DIM_TOKENS else None
+                return entry if entry in DIMS else None
             if iter_node.func.id == "enumerate" and iter_node.args:
                 return self._loop_dim(iter_node.args[0])
         fact = self._eval(iter_node)
         if fact is not None and fact.shape:
             head = fact.shape[0]
-            return head if head in DIM_TOKENS else None
+            return head if head in DIMS else None
         return None
 
     def _scan_statement(self, stmt: ast.stmt) -> None:
@@ -944,10 +897,10 @@ class _FunctionInterpreter:
             fact = self._eval(target.value)
             hit = self._mutation_owner(fact)
             if hit is not None:
-                name = _safe_unparse(target.value, limit=30)
+                name = safe_unparse(target.value, 30)
                 self.out.mutation_sites.append((
                     stmt.lineno, stmt.col_offset, name, hit[0], hit[1],
-                    _safe_unparse(stmt),
+                    safe_unparse(stmt, 60),
                 ))
         elif augmented and isinstance(target, ast.Name):
             fact = self.out.facts.get(target.id)
@@ -956,7 +909,7 @@ class _FunctionInterpreter:
                 if hit is not None:
                     self.out.mutation_sites.append((
                         stmt.lineno, stmt.col_offset, target.id, hit[0],
-                        hit[1], _safe_unparse(stmt),
+                        hit[1], safe_unparse(stmt, 60),
                     ))
 
     def _scan_expr(self, node: ast.expr | None) -> None:
@@ -974,7 +927,7 @@ class _FunctionInterpreter:
                 self._scan_access(sub)
 
     def _scan_call(self, node: ast.Call) -> None:
-        np_name = self._np_name(node.func)
+        np_name = numpy_attr(node.func, self.np)
         kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
         self._eval(node)  # record shape events for dot/concatenate/...
 
@@ -988,7 +941,7 @@ class _FunctionInterpreter:
         if kind is not None:
             self.out.dtype_sites.append((
                 node.lineno, node.col_offset, f"builtin-{kind}",
-                _safe_unparse(node),
+                safe_unparse(node, 60),
             ))
         # S402: a 32-bit integer array feeding an overflow-prone reduction.
         if np_name in _OVERFLOW_REDUCERS and node.args:
@@ -996,7 +949,7 @@ class _FunctionInterpreter:
             if arg_fact is not None and arg_fact.dtype == "int32":
                 self.out.dtype_sites.append((
                     node.lineno, node.col_offset, "int32-reduce",
-                    _safe_unparse(node),
+                    safe_unparse(node, 60),
                 ))
 
         # S403: in-place mutation through out= or an in-place method.
@@ -1006,8 +959,8 @@ class _FunctionInterpreter:
             if hit is not None:
                 self.out.mutation_sites.append((
                     node.lineno, node.col_offset,
-                    _safe_unparse(out_expr, limit=30), hit[0], hit[1],
-                    _safe_unparse(node),
+                    safe_unparse(out_expr, 30), hit[0], hit[1],
+                    safe_unparse(node, 60),
                 ))
         if isinstance(node.func, ast.Attribute) and \
                 node.func.attr in _INPLACE_METHODS:
@@ -1015,8 +968,8 @@ class _FunctionInterpreter:
             if hit is not None:
                 self.out.mutation_sites.append((
                     node.lineno, node.col_offset,
-                    _safe_unparse(node.func.value, limit=30), hit[0],
-                    hit[1], _safe_unparse(node),
+                    safe_unparse(node.func.value, 30), hit[0],
+                    hit[1], safe_unparse(node, 60),
                 ))
 
         # S406 inputs: validator calls and forwarded array parameters.
@@ -1064,7 +1017,7 @@ class _FunctionInterpreter:
             index_fact = self._eval(entry)
             if index_fact is not None and index_fact.is_array():
                 fancy = True
-            index_names |= _names_in(entry)
+            index_names |= names_in(entry)
             if position > 0 and not isinstance(entry, ast.Slice) and \
                     len(entries) > 1 and \
                     isinstance(entries[0], ast.Slice):
@@ -1072,34 +1025,30 @@ class _FunctionInterpreter:
         if fancy and not (index_names & all_stored):
             self.out.access_sites.append((
                 node.lineno, node.col_offset, "invariant-gather",
-                _safe_unparse(node),
+                safe_unparse(node, 60),
             ))
         elif column_slice and (loop_dim == "samples" or
                                loop_kind == "while"):
             self.out.access_sites.append((
                 node.lineno, node.col_offset, "strided-column",
-                _safe_unparse(node),
+                safe_unparse(node, 60),
             ))
         elif base.contiguous is False and \
                 (loop_dim == "samples" or loop_kind == "while"):
             self.out.access_sites.append((
                 node.lineno, node.col_offset, "non-contiguous",
-                _safe_unparse(node),
+                safe_unparse(node, 60),
             ))
 
 
 def build_shape_model(index: FlowIndex) -> ShapeModel:
     """Extract array facts for every function in the shared flow index."""
     model = ShapeModel(index=index)
-    alias_cache: dict = {}
     for key, info in index.functions.items():
         module = index.modules.get(info.module_name)
         if module is None:
             continue
-        if info.module_name not in alias_cache:
-            alias_cache[info.module_name] = _numpy_aliases(
-                index, info.module_name)
-        interpreter = _FunctionInterpreter(
-            info, module.relpath, alias_cache[info.module_name])
+        interpreter = _FunctionInterpreter(info, module.relpath,
+                                           module.numpy_aliases)
         model.functions[key] = interpreter.run()
     return model

@@ -10,8 +10,8 @@ in-project call), and the symbolic shape/dtype of what they return.
 
 The derived table is checked in as ``array_contracts_spec.py`` next to
 this module — a plain-literal Python file so it diffs readably and loads
-via ``ast.literal_eval`` (no import, which lets ``--update-spec``
-rewrite and re-check it within one process).  S405 compares fresh
+through :func:`repro.tools.specs.load_literal_spec` (no import, which
+lets ``--update-spec`` rewrite and re-check it within one process).  S405 compares fresh
 derivation against the checked-in spec; an intentional change to an
 estimator's array contract is recorded by re-running ``repro check
 --update-spec shape``.
@@ -19,7 +19,6 @@ estimator's array contract is recorded by re-running ``repro check
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 from repro.tools.shape.arrays import ShapeModel
@@ -28,9 +27,7 @@ __all__ = [
     "DEFAULT_SPEC_PATH",
     "SPEC_METHODS",
     "derive_contracts",
-    "load_spec",
     "render_spec",
-    "write_spec",
 ]
 
 #: Methods whose array contract the spec records, in render order.
@@ -136,32 +133,3 @@ def render_spec(spec: dict) -> str:
         lines.append("    },")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_spec(spec: dict, path: Path = DEFAULT_SPEC_PATH) -> None:
-    """Rewrite the checked-in spec file with ``spec``."""
-    path.write_text(render_spec(spec), encoding="utf-8")
-
-
-def load_spec(path: Path = DEFAULT_SPEC_PATH) -> dict | None:
-    """The ``ARRAY_CONTRACTS`` literal from ``path``, or ``None``.
-
-    Reads the file as an AST literal rather than importing it, so a
-    just-rewritten spec is visible immediately and a broken spec cannot
-    crash the analyzer (S405 reports it instead).
-    """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return None
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and \
-                        target.id == "ARRAY_CONTRACTS":
-                    try:
-                        value = ast.literal_eval(node.value)
-                    except ValueError:
-                        return None
-                    return value if isinstance(value, dict) else None
-    return None

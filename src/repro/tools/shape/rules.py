@@ -33,13 +33,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
-from repro.tools.shape.arrays import FunctionArrays, ShapeModel
-from repro.tools.shape.contracts import (
-    DEFAULT_SPEC_PATH,
-    derive_contracts,
-    load_spec,
-)
+from repro.tools.lint.engine import FunctionRule, Project, Violation
+from repro.tools.shape.arrays import ShapeModel
+from repro.tools.shape.contracts import DEFAULT_SPEC_PATH, derive_contracts
+from repro.tools.specs import diff_estimator_spec, load_literal_spec
 
 __all__ = [
     "AliasMutationRule",
@@ -61,30 +58,8 @@ _HOT_DTYPE_SCOPE = "repro.learn"
 _BOUNDARY_SCOPE = "repro.platforms"
 
 
-class ShapeRule(Rule):
+class ShapeRule(FunctionRule):
     """Base class for S-rules; the runner injects the shape model."""
-
-    def __init__(self, model: ShapeModel | None = None):
-        self.model = model
-
-    def _violation(self, fn: FunctionArrays, line: int, col: int,
-                   message: str) -> Violation:
-        qualname = fn.key[1] or "<module>"
-        return Violation(
-            code=self.code,
-            message=f"{message} [{qualname}]",
-            path=fn.relpath,
-            line=line,
-            col=col,
-        )
-
-    def _functions(self) -> Iterable[FunctionArrays]:
-        analyzed = {
-            m.dotted_name for m in self.model.index.project.modules
-        }
-        for key in sorted(self.model.functions):
-            if key[0] in analyzed:
-                yield self.model.functions[key]
 
 
 class ShapeMismatchRule(ShapeRule):
@@ -247,80 +222,36 @@ class ContractSpecRule(ShapeRule):
         super().__init__(model)
         self.spec_path = spec_path
 
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
-
     def check_project(self, project: Project) -> Iterable[Violation]:
         """Compare a fresh derivation against the checked-in spec."""
         derived = derive_contracts(self.model)
-        spec = load_spec(self.spec_path)
-        spec_relpath = self._spec_relpath()
-        if spec is None:
-            yield Violation(
-                code=self.code,
-                message=(
-                    "array-contract spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro check --update-spec shape`"
-                ),
-                path=spec_relpath,
-                line=1,
-            )
-            return
-        index = self.model.index
-        # literal_eval round-trips tuples exactly, so derived entries
-        # compare structurally against the checked-in literals.
-        for class_path in sorted(derived):
-            module_name, _, class_name = class_path.rpartition(".")
-            node = index.classes.get((module_name, class_name))
-            line = node.lineno if node is not None else 1
-            relpath = index.modules[module_name].relpath \
-                if module_name in index.modules else spec_relpath
-            if class_path not in spec:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"estimator {class_path} is not in the "
+        spec = load_literal_spec(self.spec_path, "ARRAY_CONTRACTS")
+
+        def message(kind: str, class_path: str) -> str:
+            if kind == "unreadable":
+                return ("array-contract spec is missing or unreadable at "
+                        f"{self.spec_path}; run `repro check "
+                        "--update-spec shape`")
+            if kind == "absent":
+                return (f"estimator {class_path} is not in the "
                         "array-contract spec; run `repro check "
-                        "--update-spec shape` to record its derived contract"
-                    ),
-                    path=relpath, line=line,
-                )
-            elif spec[class_path] != derived[class_path]:
-                changed = sorted(
-                    method for method in
-                    set(spec[class_path]) | set(derived[class_path])
-                    if spec[class_path].get(method)
-                    != derived[class_path].get(method)
-                )
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"derived array contract of {class_path} "
+                        "--update-spec shape` to record its derived "
+                        "contract")
+            if kind == "differs":
+                # literal_eval round-trips tuples exactly, so derived
+                # entries compare structurally against the literals.
+                want, got = spec[class_path], derived[class_path]
+                changed = sorted(method for method in set(want) | set(got)
+                                 if want.get(method) != got.get(method))
+                return (f"derived array contract of {class_path} "
                         f"disagrees with the spec on {', '.join(changed)}; "
                         "restore the recorded contract or run `repro check "
-                        "--update-spec shape` to accept the change"
-                    ),
-                    path=relpath, line=line,
-                )
-        analyzed = {m.dotted_name for m in index.project.modules}
-        for class_path in sorted(set(spec) - set(derived)):
-            module_name = class_path.rpartition(".")[0]
-            if module_name in analyzed:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro check "
-                        "--update-spec shape` to drop it"
-                    ),
-                    path=spec_relpath, line=1,
-                )
+                        "--update-spec shape` to accept the change")
+            return (f"spec entry {class_path} matches no analyzed "
+                    "estimator (renamed or removed); run `repro check "
+                    "--update-spec shape` to drop it")
+
+        return diff_estimator_spec(self, derived, spec, message)
 
 
 class BoundaryValidationRule(ShapeRule):

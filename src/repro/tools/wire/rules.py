@@ -39,11 +39,8 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.tools.lint.engine import Project, Rule, Violation
-from repro.tools.wire.spec import (
-    DEFAULT_SPEC_PATH,
-    derive_wire_spec,
-    load_spec,
-)
+from repro.tools.specs import load_literal_spec, spec_relpath
+from repro.tools.wire.spec import DEFAULT_SPEC_PATH, derive_wire_spec
 from repro.tools.wire.wiremodel import WireModel
 
 __all__ = [
@@ -80,14 +77,8 @@ class _SpecRule(WireRule):
         super().__init__(model)
         self.spec_path = spec_path
 
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
+    def _load_spec(self) -> dict | None:
+        return load_literal_spec(self.spec_path, "WIRE_SPEC")
 
 
 class RouteConformanceRule(_SpecRule):
@@ -158,7 +149,8 @@ class RouteConformanceRule(_SpecRule):
                             path=client.relpath, line=entry["line"],
                         )
 
-        spec = load_spec(self.spec_path)
+        spec = self._load_spec()
+        spec_file = spec_relpath(model.index, self.spec_path)
         if spec is None:
             yield Violation(
                 code=self.code,
@@ -166,15 +158,14 @@ class RouteConformanceRule(_SpecRule):
                     "wire spec is missing or unreadable at "
                     f"{self.spec_path}; run `repro check --update-spec wire`"
                 ),
-                path=self._spec_relpath(), line=1,
+                path=spec_file, line=1,
             )
             return
         derived = derive_wire_spec(model)
-        spec_relpath = self._spec_relpath()
 
         spec_routes = spec.get("routes", {})
         for key in sorted(derived["routes"]):
-            relpath, line = anchors.get(key, (spec_relpath, 1))
+            relpath, line = anchors.get(key, (spec_file, 1))
             if key not in spec_routes:
                 yield Violation(
                     code=self.code,
@@ -209,7 +200,7 @@ class RouteConformanceRule(_SpecRule):
                     "the server (renamed or removed); run `repro check "
                     "--update-spec wire` to drop it"
                 ),
-                path=spec_relpath, line=1,
+                path=spec_file, line=1,
             )
 
         spec_client = spec.get("client", {})
@@ -219,7 +210,7 @@ class RouteConformanceRule(_SpecRule):
             for name, entry in client.entries.items():
                 entry_anchors[name] = (client.relpath, entry["line"])
         for name in sorted(derived["client"]):
-            relpath, line = entry_anchors.get(name, (spec_relpath, 1))
+            relpath, line = entry_anchors.get(name, (spec_file, 1))
             if name not in spec_client:
                 yield Violation(
                     code=self.code,
@@ -255,7 +246,7 @@ class RouteConformanceRule(_SpecRule):
                     "client method (renamed or removed); run `repro check "
                     "--update-spec wire` to drop it"
                 ),
-                path=spec_relpath, line=1,
+                path=spec_file, line=1,
             )
 
 
@@ -356,7 +347,7 @@ class ErrorTaxonomyRule(_SpecRule):
                 path=relpath, line=line,
             )
 
-        spec = load_spec(self.spec_path)
+        spec = self._load_spec()
         if spec is None or "errors" not in spec:
             return
         derived = derive_wire_spec(model)["errors"]
@@ -450,7 +441,7 @@ class MetricsSpecRule(_SpecRule):
         model = self.model
         if not model.gateways:
             return
-        spec = load_spec(self.spec_path)
+        spec = self._load_spec()
         if spec is None or "metrics" not in spec or not spec["metrics"]:
             return
         expected = spec["metrics"]

@@ -67,9 +67,13 @@ def test_the_analyzer_still_sees_the_hot_code(source_tree):
 
 
 def test_checked_in_spec_matches_a_fresh_derivation(source_tree):
-    from repro.tools.perf.complexity import derive_complexity, load_spec
+    from repro.tools.perf.complexity import (
+        DEFAULT_SPEC_PATH,
+        derive_complexity,
+    )
+    from repro.tools.specs import load_literal_spec
 
-    spec = load_spec()
+    spec = load_literal_spec(DEFAULT_SPEC_PATH, "COMPLEXITY")
     assert spec, "complexity_spec.py is missing or empty"
     derived = derive_complexity(get_analyzer("perf").model(source_tree.loaded))
     assert derived == spec, (

@@ -62,9 +62,10 @@ def test_the_analyzer_still_sees_the_array_code(source_tree):
 
 
 def test_checked_in_spec_matches_a_fresh_derivation(source_tree):
-    from repro.tools.shape.contracts import derive_contracts, load_spec
+    from repro.tools.shape.contracts import DEFAULT_SPEC_PATH, derive_contracts
+    from repro.tools.specs import load_literal_spec
 
-    spec = load_spec()
+    spec = load_literal_spec(DEFAULT_SPEC_PATH, "ARRAY_CONTRACTS")
     assert spec, "array_contracts_spec.py is missing or empty"
     assert len(spec) >= 26  # covers the estimator zoo, Table-1 style
     derived = derive_contracts(get_analyzer("shape").model(source_tree.loaded))

@@ -69,13 +69,10 @@ def test_the_analyzer_still_sees_the_serving_layer(source_tree):
 
 
 def test_checked_in_spec_matches_a_fresh_derivation(source_tree):
-    from repro.tools.wire.spec import (
-        DEFAULT_SPEC_PATH,
-        derive_wire_spec,
-        load_spec,
-    )
+    from repro.tools.specs import load_literal_spec
+    from repro.tools.wire.spec import DEFAULT_SPEC_PATH, derive_wire_spec
 
-    spec = load_spec(DEFAULT_SPEC_PATH)
+    spec = load_literal_spec(DEFAULT_SPEC_PATH, "WIRE_SPEC")
     assert spec, "wire_spec.py is missing or empty"
     assert len(spec["routes"]) >= 11  # the serving surface, Table-1 style
     assert len(spec["client"]) >= 10

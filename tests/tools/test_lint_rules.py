@@ -200,6 +200,55 @@ def test_r003_flags_platform_missing_from_spec():
     assert any("no entry" in v.message for v in result.unsuppressed)
 
 
+_TWIN_VENDOR = """
+from repro.platforms.base import (
+    ClassifierOption, ControlSurface, MLaaSPlatform, ParameterSpec,
+)
+from {constants} import COMPLEXITY
+from {exceptions} import QuotaError
+
+
+class DemoPlatform(MLaaSPlatform):
+    name = "demo"
+    complexity = COMPLEXITY
+    controls = ControlSurface(
+        feature_selectors=("kbest",),
+        classifiers=(
+            ClassifierOption("LR", "Logistic Regression", (
+                ParameterSpec("C", 1.0, (0.01, 1.0, 100.0)),
+            )),
+        ),
+        supports_parameter_tuning=True,
+    )
+
+    def train(self):
+        raise QuotaError("over quota")
+"""
+
+
+def test_r003_r004_read_relative_imports_like_absolute_ones(tmp_path):
+    from repro.tools.check import run_analyzer
+
+    verdicts = {}
+    for style, constants, exceptions in (
+            ("absolute", "repro.platforms.constants", "repro.exceptions"),
+            ("relative", ".constants", "..exceptions")):
+        package = tmp_path / style / "repro" / "platforms"
+        package.mkdir(parents=True)
+        (package / "constants.py").write_text("COMPLEXITY = 2\n",
+                                              encoding="utf-8")
+        (package / "demo.py").write_text(_TWIN_VENDOR.format(
+            constants=constants, exceptions=exceptions), encoding="utf-8")
+        result = run_analyzer(
+            "lint", [tmp_path / style],
+            rules=[Table1ConformanceRule(spec=_DEMO_SPEC),
+                   ExceptionHygieneRule()],
+            root=tmp_path / style, context_paths=())
+        verdicts[style] = [(v.code, v.path, v.line, v.message)
+                           for v in result.violations]
+    assert verdicts["relative"] == verdicts["absolute"] == []
+
+
 def test_r003_live_spec_matches_vendor_modules():
     """The shipped spec and the shipped platforms must agree at runtime too."""
     from repro.platforms import ALL_PLATFORMS
