@@ -26,7 +26,8 @@ def detect_context_paths(paths: Sequence) -> list:
     Walks up from the first analyzed path to the enclosing project root
     (marked by ``pyproject.toml``) and returns whichever of
     :data:`CONTEXT_DIR_NAMES` exist there.  Returns ``[]`` when no project
-    root is found, so fixture trees analyzed in isolation get no implicit
+    root is found, or when the analyzed tree lies inside one of those
+    directories, so fixture trees analyzed in isolation get no implicit
     context.
     """
     for raw in paths:
@@ -35,6 +36,9 @@ def detect_context_paths(paths: Sequence) -> list:
             start = start.parent
         for candidate in (start, *start.parents):
             if (candidate / "pyproject.toml").is_file():
+                if any(start.is_relative_to(candidate / name)
+                       for name in CONTEXT_DIR_NAMES):
+                    return []
                 return [
                     candidate / name
                     for name in CONTEXT_DIR_NAMES

@@ -114,3 +114,19 @@ def test_show_suppressed_includes_justified_suppressions():
     assert code == 1  # the unsuppressed leaks in leaky.py
     assert "suppressed:" in output
     assert "calibration" in output
+
+
+def test_a_tree_inside_a_context_dir_gets_no_implicit_context(tmp_path):
+    from repro.tools.flow.runner import CONTEXT_DIR_NAMES, detect_context_paths
+
+    (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+    for name in (*CONTEXT_DIR_NAMES, "src"):
+        (tmp_path / name / "pkg").mkdir(parents=True)
+        (tmp_path / name / "pkg" / "mod.py").write_text("", encoding="utf-8")
+    context = [tmp_path / name for name in CONTEXT_DIR_NAMES]
+    assert detect_context_paths([tmp_path / "src" / "pkg"]) == context
+    assert detect_context_paths([tmp_path / "src" / "pkg" / "mod.py"]) \
+        == context
+    for name in CONTEXT_DIR_NAMES:
+        assert detect_context_paths([tmp_path / name / "pkg"]) == []
+        assert detect_context_paths([tmp_path / name]) == []
