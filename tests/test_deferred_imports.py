@@ -52,7 +52,8 @@ def test_repro_cli_imports_no_analyzer_package():
         "import repro.cli\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
         "('repro.tools.flow', 'repro.tools.race', 'repro.tools.perf', "
-        "'repro.tools.shape', 'repro.tools.wire')))))\n"
+        "'repro.tools.shape', 'repro.tools.wire', 'repro.tools.specs', "
+        "'repro.tools.indexing')))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
