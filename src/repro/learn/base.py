@@ -67,9 +67,20 @@ class BaseEstimator:
 
 
 class ClassifierMixin:
-    """Mixin adding a default accuracy :meth:`score` for classifiers."""
+    """Mixin adding the probability label rule and accuracy :meth:`score`."""
 
     _estimator_kind = "classifier"
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Label ``classes_[1]`` where ``predict_proba`` exceeds 0.5.
+
+        Classifiers deciding on a score instead (linear, boosting, naive
+        Bayes, one-vs-rest) override this with their own rule.
+        """
+        probabilities = self.predict_proba(X)
+        return np.where(
+            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
+        )
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Return mean accuracy of ``self.predict(X)`` against ``y``."""

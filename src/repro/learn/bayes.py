@@ -11,8 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
-from repro.learn.validation import check_array, check_binary_labels, check_X_y
+from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.validation import (
+    check_binary_labels,
+    check_predict_input,
+    check_X_y,
+)
 
 __all__ = ["GaussianNB", "BernoulliNB"]
 
@@ -64,13 +68,7 @@ class GaussianNB(BaseEstimator, ClassifierMixin):
         return self
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        check_is_fitted(self, "theta_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "theta_")
         jll = np.zeros((X.shape[0], len(self.classes_)))
         for k in range(len(self.classes_)):
             log_prior = np.log(self.class_prior_[k] + 1e-300)
@@ -129,13 +127,7 @@ class BernoulliNB(BaseEstimator, ClassifierMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "feature_log_prob_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "feature_log_prob_")
         X_bin = (X > self.binarize).astype(np.intp)
         jll = np.zeros((X.shape[0], len(self.classes_)))
         for k in range(len(self.classes_)):

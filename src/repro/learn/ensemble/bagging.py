@@ -9,17 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import (
-    BaseEstimator,
-    ClassifierMixin,
-    check_is_fitted,
-    clone,
-)
+from repro.learn.base import BaseEstimator, ClassifierMixin, clone
 from repro.learn.tree.cart import DecisionTreeClassifier
 from repro.learn.tree.flat import stack_trees
 from repro.learn.validation import (
-    check_array,
     check_binary_labels,
+    check_predict_input,
     check_random_state,
     check_X_y,
 )
@@ -106,13 +101,7 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "estimators_")
         votes = np.zeros(X.shape[0])
         if self.flat_forest_ is not None:
             # Batched evaluation; accumulation stays member-by-member so
@@ -127,9 +116,3 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
                     votes += (member.predict(X) == self.classes_[1]).astype(np.float64)
         positive = votes / len(self.estimators_)
         return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return np.where(
-            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
-        )

@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
+from repro.learn.base import BaseEstimator, ClassifierMixin
 from repro.learn.tree.cart import DecisionTreeClassifier, TreeNode
-from repro.learn.tree.criteria import criterion_function
 from repro.learn.tree.flat import flatten_tree, stack_trees
 from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
 from repro.learn.validation import (
-    check_array,
     check_binary_labels,
+    check_predict_input,
     check_random_state,
     check_X_y,
 )
@@ -178,13 +177,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        check_is_fitted(self, "trees_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "trees_")
         raw = np.full(X.shape[0], self.initial_score_)
         # Round-by-round accumulation kept so the sum is bit-identical
         # to the sequential per-tree loop; only the routing is batched.
@@ -271,13 +264,7 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "estimators_")
         total = np.zeros(X.shape[0])
         for alpha, stump in zip(self.estimator_weights_, self.estimators_):
             total += alpha * np.asarray(stump.predict(X), dtype=np.float64)

@@ -14,8 +14,8 @@ from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
 from repro.learn.tree.cart import DecisionTreeClassifier
 from repro.learn.tree.flat import stack_trees
 from repro.learn.validation import (
-    check_array,
     check_binary_labels,
+    check_predict_input,
     check_random_state,
     check_X_y,
 )
@@ -99,23 +99,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "estimators_")
         # Same reduction as np.mean over per-tree probability rows — the
         # stacked flat evaluation yields bit-identical per-tree values.
         positive = np.mean(self.flat_forest_.predict_values(X), axis=0)
         return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return np.where(
-            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
-        )
 
     def feature_importances(self) -> np.ndarray:
         """Frequency of each feature across all split nodes (normalized)."""

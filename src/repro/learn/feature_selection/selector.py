@@ -18,7 +18,7 @@ from repro.learn.feature_selection.filters import (
     pearson_score,
     spearman_score,
 )
-from repro.learn.validation import check_array, check_X_y
+from repro.learn.validation import check_predict_input, check_X_y
 
 __all__ = ["SelectKBest", "FILTER_SCORERS"]
 
@@ -80,13 +80,7 @@ class SelectKBest(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "support_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"selector was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "support_")
         return X[:, self.support_]
 
     def selected_indices(self) -> np.ndarray:

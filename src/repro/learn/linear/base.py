@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
-from repro.learn.validation import check_array, check_binary_labels, check_X_y
+from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.validation import (
+    check_binary_labels,
+    check_predict_input,
+    check_X_y,
+)
 
 __all__ = ["LinearBinaryClassifier"]
 
@@ -32,13 +36,7 @@ class LinearBinaryClassifier(BaseEstimator, ClassifierMixin):
 
     def decision_function(self, X) -> np.ndarray:
         """Signed distance-like score; positive means the second class."""
-        check_is_fitted(self, "coef_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "coef_")
         return X @ self.coef_ + self.intercept_
 
     def predict(self, X) -> np.ndarray:

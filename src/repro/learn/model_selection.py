@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ReproError, ValidationError
-from repro.learn.base import BaseEstimator, clone
+from repro.learn.base import BaseEstimator, check_is_fitted, clone
 from repro.learn.cache import FitCache, derive_candidate_seed, params_token
 from repro.learn.metrics import f_score
 from repro.learn.validation import (
@@ -404,6 +404,5 @@ class GridSearchCV(BaseEstimator):
         return self
 
     def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "best_estimator_"):
-            raise ValidationError("GridSearchCV is not fitted")
+        check_is_fitted(self, "best_estimator_")
         return self.best_estimator_.predict(X)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted, clone
-from repro.learn.validation import check_array, check_X_y
+from repro.learn.base import BaseEstimator, ClassifierMixin, clone
+from repro.learn.validation import check_predict_input, check_X_y
 
 __all__ = ["OneVsRestClassifier"]
 
@@ -60,19 +60,12 @@ class OneVsRestClassifier(BaseEstimator, ClassifierMixin):
         return np.column_stack(columns)
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "estimators_")
         return self.classes_[np.argmax(self._scores(X), axis=1)]
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-class scores normalized to sum to one per sample."""
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "estimators_")
         scores = self._scores(X)
         scores = scores - scores.min(axis=1, keepdims=True)
         totals = scores.sum(axis=1, keepdims=True)

@@ -11,8 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
-from repro.learn.validation import check_array, check_binary_labels, check_X_y
+from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.validation import (
+    check_binary_labels,
+    check_predict_input,
+    check_X_y,
+)
 
 __all__ = ["KNeighborsClassifier"]
 
@@ -62,13 +66,7 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "_fit_X")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "_fit_X")
         k = min(self.n_neighbors, self._fit_X.shape[0])
         positive = np.empty(X.shape[0])
         for start in range(0, X.shape[0], self._CHUNK):
@@ -92,9 +90,3 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
                     (weights * neighbor_y).sum(axis=1) / weight_sums
                 )
         return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return np.where(
-            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
-        )

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted
+from repro.learn.base import BaseEstimator, ClassifierMixin
 from repro.learn.validation import (
-    check_array,
     check_binary_labels,
+    check_predict_input,
     check_random_state,
     check_X_y,
 )
@@ -209,19 +209,7 @@ class MLPClassifier(BaseEstimator, ClassifierMixin):
         return grads_w, grads_b, loss
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "weights_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "weights_")
         _, activations = self._forward(X)
         positive = activations[-1][:, 0]
         return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return np.where(
-            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
-        )

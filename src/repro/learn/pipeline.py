@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin, clone
+from repro.learn.base import BaseEstimator, ClassifierMixin, check_is_fitted, clone
 
 __all__ = ["Pipeline"]
 
@@ -94,8 +94,7 @@ class Pipeline(BaseEstimator, ClassifierMixin):
         return self
 
     def _transform(self, X) -> np.ndarray:
-        if not hasattr(self, "fitted_steps_"):
-            raise ValidationError("Pipeline is not fitted")
+        check_is_fitted(self, "fitted_steps_")
         data = X
         for _, step in self.fitted_steps_[:-1]:
             data = step.transform(data)
@@ -104,8 +103,7 @@ class Pipeline(BaseEstimator, ClassifierMixin):
     @property
     def final_estimator_(self):
         """The fitted classifier at the end of the pipeline."""
-        if not hasattr(self, "fitted_steps_"):
-            raise ValidationError("Pipeline is not fitted")
+        check_is_fitted(self, "fitted_steps_")
         return self.fitted_steps_[-1][1]
 
     def predict(self, X) -> np.ndarray:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, TransformerMixin, check_is_fitted
-from repro.learn.validation import check_array
+from repro.learn.base import BaseEstimator, TransformerMixin
+from repro.learn.validation import check_array, check_predict_input
 
 __all__ = ["QuantileBinningTransform"]
 
@@ -45,13 +45,7 @@ class QuantileBinningTransform(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "bin_edges_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"binner was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "bin_edges_")
         blocks = []
         for j, edges in enumerate(self.bin_edges_):
             codes = np.digitize(X[:, j], edges)

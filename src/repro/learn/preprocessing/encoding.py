@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, TransformerMixin, check_is_fitted
-from repro.learn.validation import check_array
+from repro.learn.validation import check_array, check_n_features
 
 __all__ = ["OrdinalEncoder"]
 
@@ -62,11 +62,7 @@ class OrdinalEncoder(BaseEstimator, TransformerMixin):
     def transform(self, X) -> np.ndarray:
         check_is_fitted(self, "categories_")
         X = self._as_object_matrix(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"encoder was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        check_n_features(self, X)
         out = np.empty(X.shape, dtype=np.float64)
         for j, mapping in enumerate(self.categories_):
             column = X[:, j]

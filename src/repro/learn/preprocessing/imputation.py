@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.learn.base import BaseEstimator, TransformerMixin, check_is_fitted
-from repro.learn.validation import check_array
+from repro.learn.validation import check_array, check_n_features
 
 __all__ = ["MedianImputer"]
 
@@ -54,11 +54,7 @@ class MedianImputer(BaseEstimator, TransformerMixin):
     def transform(self, X) -> np.ndarray:
         check_is_fitted(self, "fill_values_")
         X = check_array(X, allow_nan=True)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"imputer was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        check_n_features(self, X)
         X = X.copy()
         missing = np.isnan(X)
         if missing.any():

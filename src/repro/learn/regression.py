@@ -13,11 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, check_is_fitted
+from repro.learn.base import BaseEstimator
 from repro.learn.tree.cart import TreeNode
 from repro.learn.tree.flat import flatten_tree
 from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
-from repro.learn.validation import check_array, check_random_state, check_X_y
+from repro.learn.validation import (
+    check_predict_input,
+    check_random_state,
+    check_X_y,
+)
 
 __all__ = [
     "mean_squared_error",
@@ -120,13 +124,7 @@ class LinearRegression(BaseEstimator, _RegressorMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "coef_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "coef_")
         return X @ self.coef_ + self.intercept_
 
 
@@ -221,13 +219,7 @@ class DecisionTreeRegressor(BaseEstimator, _RegressorMixin):
         return node
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "tree_")
         return self.flat_tree_.predict_value(X)
 
 
@@ -262,13 +254,7 @@ class KNeighborsRegressor(BaseEstimator, _RegressorMixin):
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "_fit_X")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "_fit_X")
         k = min(self.n_neighbors, self._fit_X.shape[0])
         predictions = np.empty(X.shape[0])
         for start in range(0, X.shape[0], 256):

@@ -22,8 +22,8 @@ from repro.learn.tree.criteria import criterion_function
 from repro.learn.tree.flat import flatten_tree
 from repro.learn.tree.splitter import ImpurityCriterion, PresortedSplitEngine
 from repro.learn.validation import (
-    check_array,
     check_binary_labels,
+    check_predict_input,
     check_random_state,
     check_X_y,
 )
@@ -223,21 +223,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return self.flat_tree_.predict_value(X)
 
     def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"model was fitted on {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = check_predict_input(self, X, "tree_")
         positive = self._positive_fractions(X)
         return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, X) -> np.ndarray:
-        probabilities = self.predict_proba(X)
-        return np.where(
-            probabilities[:, 1] > 0.5, self.classes_[1], self.classes_[0]
-        )
 
     # Introspection helpers used by tests and analysis.
 

@@ -7,9 +7,11 @@ import numbers
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.learn.base import check_is_fitted
 
 __all__ = ["DEFAULT_SEED", "UNSEEDED", "check_array", "check_X_y",
-           "check_random_state", "column_or_1d", "check_binary_labels"]
+           "check_random_state", "column_or_1d", "check_binary_labels",
+           "check_n_features", "check_predict_input"]
 
 #: Seed used when ``random_state`` is omitted (``None``).  An omitted
 #: seed must never make a measurement silently irreproducible (§3.2's
@@ -96,6 +98,30 @@ def check_array(
                 "input contains NaN or infinity; impute or clean it first "
                 "(see repro.learn.preprocessing.MedianImputer)"
             )
+    return X
+
+
+def check_n_features(estimator, X: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless ``X`` is as wide as the fit data."""
+    if X.shape[1] != estimator.n_features_in_:
+        raise ValidationError(
+            f"{type(estimator).__name__} was fitted on "
+            f"{estimator.n_features_in_} features, got {X.shape[1]}"
+        )
+
+
+def check_predict_input(estimator, X, fitted_attribute: str) -> np.ndarray:
+    """Validate ``X`` before a fitted estimator predicts on or transforms it.
+
+    The one gate every prediction path goes through: an unfitted
+    ``estimator`` (no ``fitted_attribute``) raises
+    :class:`~repro.exceptions.NotFittedError`, ``X`` is converted by
+    :func:`check_array`, and a width other than ``n_features_in_``
+    raises :class:`ValidationError`.
+    """
+    check_is_fitted(estimator, fitted_attribute)
+    X = check_array(X)
+    check_n_features(estimator, X)
     return X
 
 

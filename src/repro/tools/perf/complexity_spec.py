@@ -27,7 +27,6 @@ COMPLEXITY = {
     },
     'repro.learn.ensemble.bagging.BaggingClassifier': {
         'fit': {'estimators': 1},
-        'predict': {},
     },
     'repro.learn.ensemble.boosting.AdaBoostClassifier': {
         'fit': {'estimators': 1},
@@ -39,7 +38,6 @@ COMPLEXITY = {
     },
     'repro.learn.ensemble.forest.RandomForestClassifier': {
         'fit': {'estimators': 1},
-        'predict': {},
     },
     'repro.learn.feature_selection.fisher_lda.FisherLDATransform': {
         'fit': {},
@@ -61,11 +59,9 @@ COMPLEXITY = {
     },
     'repro.learn.neighbors.KNeighborsClassifier': {
         'fit': {},
-        'predict': {'samples': 1},
     },
     'repro.learn.neural.MLPClassifier': {
         'fit': {'samples': 1, 'iterations': 1},
-        'predict': {},
     },
     'repro.learn.pipeline.Pipeline': {
         'fit': {},
@@ -106,10 +102,8 @@ COMPLEXITY = {
     },
     'repro.learn.tree.cart.DecisionTreeClassifier': {
         'fit': {},
-        'predict': {},
     },
     'repro.learn.tree.jungle.DecisionJungleClassifier': {
         'fit': {'estimators': 1},
-        'predict': {},
     },
 }

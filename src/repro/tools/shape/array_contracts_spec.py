@@ -61,12 +61,6 @@ ARRAY_CONTRACTS = {
             'out': 'self',
             'out_dtype': None,
         },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
-            'out_dtype': None,
-        },
         'predict_proba': {
             'in': {'X': ('samples', 'features')},
             'validates': ('X',),
@@ -119,12 +113,6 @@ ARRAY_CONTRACTS = {
             'in': {'X': ('samples', 'features'), 'y': ('samples',)},
             'validates': ('X', 'y'),
             'out': 'self',
-            'out_dtype': None,
-        },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
             'out_dtype': None,
         },
         'predict_proba': {
@@ -223,12 +211,6 @@ ARRAY_CONTRACTS = {
             'out': 'self',
             'out_dtype': None,
         },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
-            'out_dtype': None,
-        },
         'predict_proba': {
             'in': {'X': ('samples', 'features')},
             'validates': ('X',),
@@ -241,12 +223,6 @@ ARRAY_CONTRACTS = {
             'in': {'X': ('samples', 'features'), 'y': ('samples',)},
             'validates': ('X', 'y'),
             'out': 'self',
-            'out_dtype': None,
-        },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
             'out_dtype': None,
         },
         'predict_proba': {
@@ -423,12 +399,6 @@ ARRAY_CONTRACTS = {
             'out': 'self',
             'out_dtype': None,
         },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
-            'out_dtype': None,
-        },
         'predict_proba': {
             'in': {'X': ('samples', 'features')},
             'validates': ('X',),
@@ -441,12 +411,6 @@ ARRAY_CONTRACTS = {
             'in': {'X': ('samples', 'features'), 'y': ('samples',)},
             'validates': ('X', 'y'),
             'out': 'self',
-            'out_dtype': None,
-        },
-        'predict': {
-            'in': {'X': ('samples', 'features')},
-            'validates': ('X',),
-            'out': None,
             'out_dtype': None,
         },
         'predict_proba': {

@@ -100,6 +100,7 @@ _FLOAT_REDUCERS = frozenset({"mean", "median", "std", "var", "nanmedian",
 #: Validators from :mod:`repro.learn.validation` and what they return.
 _VALIDATORS = {
     "check_array": (("samples", "features"), "float64"),
+    "check_predict_input": (("samples", "features"), "float64"),
     "check_X_y": (None, None),  # tuple; handled at the unpack site
     "column_or_1d": (("samples",), None),
 }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import NotFittedError, ValidationError
 from repro.learn.linear import LogisticRegression
 from repro.learn.model_selection import (
     GridSearchCV,
@@ -177,6 +177,12 @@ class TestGridSearchCV:
             GridSearchCV(
                 LogisticRegression(), {"C": [-1.0, -2.0]}, cv=3
             ).fit(X_train, y_train)
+
+    def test_unfitted_predict_raises_not_fitted(self, linear_data):
+        _, _, X_test, _ = linear_data
+        search = GridSearchCV(LogisticRegression(), {"C": [1.0]})
+        with pytest.raises(NotFittedError, match="not fitted"):
+            search.predict(X_test)
 
     def test_predict_uses_best_estimator(self, linear_data):
         X_train, y_train, X_test, _ = linear_data

@@ -69,3 +69,11 @@ def test_prototype_not_mutated(three_blobs):
     prototype = LogisticRegression()
     OneVsRestClassifier(prototype).fit(X, y)
     assert not hasattr(prototype, "coef_")
+
+
+@pytest.mark.parametrize("method", ["predict", "predict_proba"])
+def test_wrong_width_rejected_before_the_members(three_blobs, method):
+    X, y = three_blobs
+    model = OneVsRestClassifier(LogisticRegression()).fit(X, y)
+    with pytest.raises(ValidationError, match="fitted on 2 features, got 1"):
+        getattr(model, method)(X[:5, :1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import NotFittedError, ValidationError
 from repro.learn.feature_selection import SelectKBest
 from repro.learn.linear import LogisticRegression
 from repro.learn.pipeline import Pipeline
@@ -77,7 +77,7 @@ def test_non_classifier_final_step_rejected(linear_data):
 def test_unfitted_pipeline_predict_raises(linear_data):
     _, _, X_test, _ = linear_data
     pipeline = Pipeline([("clf", LogisticRegression())])
-    with pytest.raises(ValidationError, match="not fitted"):
+    with pytest.raises(NotFittedError, match="not fitted"):
         pipeline.predict(X_test)
 
 

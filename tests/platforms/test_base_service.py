@@ -8,8 +8,16 @@ from repro.exceptions import (
     QuotaExceededError,
     ResourceNotFoundError,
     UnsupportedControlError,
+    ValidationError,
 )
-from repro.platforms import Amazon, Google, LocalLibrary, Microsoft, make_platform
+from repro.platforms import (
+    ALL_PLATFORMS,
+    Amazon,
+    Google,
+    LocalLibrary,
+    Microsoft,
+    make_platform,
+)
 from repro.platforms.base import JobState, ParameterSpec
 
 
@@ -187,3 +195,23 @@ def test_job_seed_independent_of_call_order(data):
 def test_repr_mentions_controls():
     assert "FEAT" in repr(Microsoft())
     assert "none" in repr(Google())
+
+
+PLATFORM_CLASSIFIERS = [
+    (cls.name, option.abbr if option else None)
+    for cls in ALL_PLATFORMS
+    for option in (cls().controls.classifiers or (None,))
+]
+
+
+@pytest.mark.parametrize("platform_name,classifier", PLATFORM_CLASSIFIERS)
+def test_wrong_width_batch_predict_is_a_validation_error(
+    data, platform_name, classifier
+):
+    X, y, X_test = data
+    platform = make_platform(platform_name)
+    model_id = platform.create_model(
+        platform.upload_dataset(X, y), classifier=classifier
+    )
+    with pytest.raises(ValidationError, match="features"):
+        platform.batch_predict(model_id, X_test[:, :2])

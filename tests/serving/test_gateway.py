@@ -121,6 +121,21 @@ def test_malformed_arrays_are_rejected_at_the_edge_not_inside_numpy():
     assert response.status == 400
 
 
+def test_wrong_width_predict_answers_400_for_a_linear_model():
+    gateway = make_gateway()
+    dataset_id = gateway.handle(post("/platforms/bigml/datasets",
+                                     upload_payload())).body["dataset_id"]
+    model_id = gateway.handle(post("/platforms/bigml/models",
+                                   {"dataset_id": dataset_id,
+                                    "classifier": "LR"})).body["model_id"]
+    response = gateway.handle(post(
+        f"/platforms/bigml/models/{model_id}/predict",
+        {"X": encode_array(X[:5, :2])},
+    ))
+    assert response.status == 400
+    assert response.body["error"]["kind"] == "ValidationError"
+
+
 def test_oversized_batch_answers_413():
     gateway = make_gateway(limits=ServingLimits(max_batch_rows=10))
     response = gateway.handle(post("/platforms/bigml/datasets",

@@ -1,4 +1,4 @@
-"""Structural gate: the analyzers share one copy of each AST helper.
+"""Structural gate: shared decisions live in one copy.
 
 The six analyzers of ``repro check`` read import tables, source text,
 names and checked-in specs the same way, and two copies of one such
@@ -6,12 +6,20 @@ decision drift apart (lint once kept an import table that skipped the
 relative imports the flow index resolves).  The gate parses
 ``src/repro/tools`` and counts the modules defining each helper, under
 every name its copies have gone by.
+
+The estimators of ``repro.learn`` likewise share one prediction gate
+(the width check against ``n_features_in_``) and one probability label
+rule (``predict_proba(X)[:, 1] > 0.5``); the linear family's copy of
+the width check once raised ``ValueError`` where every other raised
+``ValidationError``.
 """
 
 import ast
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "src" / "repro" / "tools"
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TOOLS = SRC / "tools"
+LEARN = SRC / "learn"
 
 HELPERS = {
     "import table": {"import_bindings", "_import_bindings"},
@@ -56,3 +64,53 @@ def test_each_shared_helper_is_defined_in_one_module():
     duplicated = {helper: sorted(modules)
                   for helper, modules in found.items() if len(modules) > 1}
     assert duplicated == {}
+
+
+def _is_width(node: ast.AST) -> bool:
+    """``<array>.shape[1]``."""
+    return (isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "shape"
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value == 1)
+
+
+def _compares_width(node: ast.Compare) -> bool:
+    operands = [node.left, *node.comparators]
+    return any(map(_is_width, operands)) and any(
+        isinstance(operand, ast.Attribute)
+        and operand.attr == "n_features_in_" for operand in operands
+    )
+
+
+def _is_label_rule(node: ast.Compare) -> bool:
+    return (len(node.ops) == 1 and isinstance(node.ops[0], ast.Gt)
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 0.5)
+
+
+def _learn_decisions() -> dict:
+    """Decision -> where :mod:`repro.learn` makes it (modules for the
+    width check, ``module:Class`` for the label rule)."""
+    found = {"width check": set(), "label rule": set()}
+    for path in sorted(LEARN.rglob("*.py")):
+        module = str(path.relative_to(LEARN))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Compare) and _is_label_rule(node):
+                    found["label rule"].add(f"{module}:{cls.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and _compares_width(node):
+                found["width check"].add(module)
+    return found
+
+
+def test_learn_makes_each_prediction_decision_once():
+    found = _learn_decisions()
+    assert {decision: sorted(where) for decision, where in found.items()} == {
+        "width check": ["validation.py"],
+        "label rule": ["base.py:ClassifierMixin"],
+    }
