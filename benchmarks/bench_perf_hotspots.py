@@ -3,16 +3,21 @@
 Measures the vectorized replacements for the analyzer's confirmed
 P301/P302-class hotspots against the seed implementations kept verbatim
 in :mod:`benchmarks.perf_reference`, plus the P304 FitCache routing of
-platform FEAT steps, on three scenarios:
+platform FEAT steps and the online linear learners' training loops, on
+four scenarios:
 
 * ``mutual_info`` — per-bin/per-class Python loops vs one ``bincount``,
 * ``stratified_kfold`` — per-index fold assembly vs strided slices,
 * ``feat_cache_sweep`` — a per-candidate FEAT refit vs the memoized
-  fit the platforms now share through their ``FitCache``.
+  fit the platforms now share through their ``FitCache``,
+* ``online_learners`` — SGD logistic regression, Pegasos SVM, the Bayes
+  point machine and the averaged perceptron, seed training loops vs the
+  loops that make fewer numpy calls per step.
 
 Every scenario asserts the optimized path produces **bit-identical**
 outputs before timing counts; speed without equality is a bug, not a
-result.  Timings and speedups are written to ``BENCH_perf.json``.
+result.  Timings, speedups and the host (cores, Python, numpy, scipy)
+are written to ``BENCH_perf.json``.
 
 (A fourth candidate — vectorizing ``count_score`` with a whole-matrix
 sort — measured ~2x *slower* than the seed's per-column ``np.unique``
@@ -31,18 +36,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 try:
     from benchmarks.perf_reference import (
+        ReferenceAveragedPerceptron,
+        ReferenceBayesPointMachine,
+        ReferenceLinearSVC,
+        ReferenceLogisticRegression,
         ReferenceStratifiedKFold,
         reference_mutual_info_score,
     )
 except ImportError:  # running as a script: benchmarks/ itself is sys.path[0]
     from perf_reference import (
+        ReferenceAveragedPerceptron,
+        ReferenceBayesPointMachine,
+        ReferenceLinearSVC,
+        ReferenceLogisticRegression,
         ReferenceStratifiedKFold,
         reference_mutual_info_score,
     )
@@ -50,14 +66,35 @@ except ImportError:  # running as a script: benchmarks/ itself is sys.path[0]
 from repro.learn.cache import FitCache
 from repro.learn.feature_selection import SelectKBest
 from repro.learn.feature_selection.filters import mutual_info_score
+from repro.learn.linear import (
+    AveragedPerceptron,
+    BayesPointMachine,
+    LinearSVC,
+    LogisticRegression,
+)
 from repro.learn.model_selection import StratifiedKFold
 
 SIZES = {
     "quick": {"n_samples": 2000, "n_features": 30, "n_splits": 5,
-              "n_candidates": 6, "repeats": 2},
+              "n_candidates": 6, "online_samples": 150,
+              "online_features": 6, "repeats": 2},
     "full": {"n_samples": 20000, "n_features": 80, "n_splits": 10,
-             "n_candidates": 12, "repeats": 3},
+             "n_candidates": 12, "online_samples": 600,
+             "online_features": 10, "repeats": 3},
 }
+
+#: (optimized, seed reference, parameters) per fit of the
+#: ``online_learners`` scenario: the SGD solver over its penalties and
+#: three values of C, both SVM losses, and the two Azure online learners.
+ONLINE_FITS = [
+    *[(LogisticRegression, ReferenceLogisticRegression,
+       {"solver": "sgd", "penalty": penalty, "C": C})
+      for penalty in ("l1", "l2", "none") for C in (0.1, 1.0, 10.0)],
+    *[(LinearSVC, ReferenceLinearSVC, {"loss": loss, "max_iter": 20})
+      for loss in ("hinge", "squared_hinge")],
+    (BayesPointMachine, ReferenceBayesPointMachine, {"n_iter": 10}),
+    (AveragedPerceptron, ReferenceAveragedPerceptron, {}),
+]
 
 
 def make_dataset(n_samples: int, n_features: int, seed: int = 0):
@@ -151,17 +188,47 @@ def scenario_feat_cache_sweep(size: dict) -> dict:
             "speedup": t_base / t_opt, "bit_identical": bool(identical)}
 
 
+def scenario_online_learners(size: dict) -> dict:
+    """Online linear learners: seed training loops vs fewer numpy calls
+    per step, over the fits of :data:`ONLINE_FITS`."""
+    X, y = make_dataset(size["online_samples"], size["online_features"],
+                        seed=5)
+    # Label noise keeps every learner updating until its last epoch.
+    y = y ^ (np.random.default_rng(6).random(y.shape[0]) < 0.15)
+
+    def fit_all(reference: bool) -> list:
+        return [(seed if reference else optimized)(random_state=0, **params)
+                .fit(X, y) for optimized, seed, params in ONLINE_FITS]
+
+    identical = all(
+        fast.coef_.tobytes() == ref.coef_.tobytes()
+        and fast.intercept_ == ref.intercept_
+        and getattr(fast, "n_iter_", None) == getattr(ref, "n_iter_", None)
+        for fast, ref in zip(fit_all(False), fit_all(True))
+    )
+    assert identical, "online learner training diverged from seed"
+
+    t_base = _best_time(lambda: fit_all(True), size["repeats"])
+    t_opt = _best_time(lambda: fit_all(False), size["repeats"])
+    return {"baseline_s": t_base, "optimized_s": t_opt,
+            "speedup": t_base / t_opt, "bit_identical": bool(identical)}
+
+
 SCENARIOS = {
     "mutual_info": scenario_mutual_info,
     "stratified_kfold": scenario_stratified_kfold,
     "feat_cache_sweep": scenario_feat_cache_sweep,
+    "online_learners": scenario_online_learners,
 }
 
 
 def run_bench(mode: str = "quick") -> dict:
     """Run every scenario at ``mode`` scale; return the report dict."""
     size = SIZES[mode]
-    report = {"mode": mode, "sizes": size, "scenarios": {}}
+    host = {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine()}
+    report = {"mode": mode, "host": host, "sizes": size, "scenarios": {}}
     for name, scenario in SCENARIOS.items():
         report["scenarios"][name] = scenario(size)
     return report
@@ -209,6 +276,7 @@ def test_perf_hotspot_speedup():
     """Quick-mode bench: bit-identical outputs and a real speedup."""
     report = run_bench("quick")
     print_report(report)
+    assert "online_learners" in report["scenarios"]
     for name, result in report["scenarios"].items():
         assert result["bit_identical"], name
         assert result["speedup"] > 0

@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import NotFittedError
 
 __all__ = ["BaseEstimator", "ClassifierMixin", "TransformerMixin", "clone",
-           "check_is_fitted"]
+           "check_is_fitted", "sigmoid"]
 
 
 class BaseEstimator:
@@ -122,3 +122,18 @@ def check_is_fitted(estimator: Any, attribute: str = "classes_") -> None:
             f"{type(estimator).__name__} is not fitted; call fit() before "
             f"using this method (missing attribute {attribute!r})"
         )
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-z))`` of an array.
+
+    ``z`` is clipped to ``[-500, 500]`` first, so ``exp`` never
+    overflows.  Each step writes into one buffer: ``out`` (which may be
+    ``z`` itself) or a new array, so ``z`` is left alone by default.
+    """
+    out = np.maximum(z, -500.0, out=out)
+    np.minimum(out, 500.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.base import BaseEstimator, ClassifierMixin, sigmoid
 from repro.learn.tree.cart import DecisionTreeClassifier, TreeNode
 from repro.learn.tree.flat import flatten_tree, stack_trees
 from repro.learn.tree.splitter import PresortedSplitEngine, VarianceCriterion
@@ -187,7 +187,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
 
     def predict_proba(self, X) -> np.ndarray:
         raw = self.decision_function(X)
-        positive = 1.0 / (1.0 + np.exp(-np.clip(raw, -500, 500)))
+        positive = sigmoid(raw)
         return np.column_stack([1.0 - positive, positive])
 
     def predict(self, X) -> np.ndarray:

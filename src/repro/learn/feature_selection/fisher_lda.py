@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, TransformerMixin, check_is_fitted
-from repro.learn.validation import check_array, check_binary_labels, check_X_y
+from repro.learn.base import BaseEstimator, TransformerMixin
+from repro.learn.validation import (
+    check_binary_labels,
+    check_predict_input,
+    check_X_y,
+)
 
 __all__ = ["FisherLDATransform"]
 
@@ -60,8 +64,7 @@ class FisherLDATransform(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "direction_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "direction_")
         projection = (X @ self.direction_)[:, None]
         if self.kept_indices_.size:
             return np.hstack([projection, X[:, self.kept_indices_]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.base import BaseEstimator, ClassifierMixin, sigmoid
 from repro.learn.validation import (
     check_binary_labels,
     check_predict_input,
@@ -50,5 +50,5 @@ class LinearBinaryClassifier(BaseEstimator, ClassifierMixin):
         for margin-based linear models it is a standard calibration.
         """
         scores = self.decision_function(X)
-        positive = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
+        positive = sigmoid(scores)
         return np.column_stack([1.0 - positive, positive])

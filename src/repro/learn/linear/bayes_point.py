@@ -9,6 +9,8 @@ bootstrap/permuted view of the data — into a single weight vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -48,19 +50,22 @@ class BayesPointMachine(LinearBinaryClassifier):
         n_samples, n_features = X.shape
         weights = np.zeros((self.n_members, n_features))
         biases = np.zeros(self.n_members)
+        rows = list(X)
+        labels = y.tolist()
         for m in range(self.n_members):
             w = rng.normal(scale=0.01, size=n_features)
             b = 0.0
             for _ in range(self.n_iter):
                 mistakes = 0
-                for i in rng.permutation(n_samples):
-                    if y[i] * (X[i] @ w + b) <= 0.0:
-                        w += y[i] * X[i]
-                        b += y[i]
+                for i in rng.permutation(n_samples).tolist():
+                    x_i, y_i = rows[i], labels[i]
+                    if y_i * (x_i @ w + b) <= 0.0:
+                        w += y_i * x_i
+                        b += y_i
                         mistakes += 1
                 if mistakes == 0:
                     break
-            norm = np.linalg.norm(w)
+            norm = math.sqrt(w @ w)
             if norm > 0.0:
                 # Normalize so each member contributes a direction, not a
                 # magnitude — the Bayes point is a centre of version space.

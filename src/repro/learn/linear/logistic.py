@@ -11,17 +11,16 @@ penalties.  Mirrors Table 1's tunable parameters (penalty, C, solver).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.learn.base import sigmoid
 from repro.learn.linear.base import LinearBinaryClassifier
 from repro.learn.validation import check_random_state
 
 __all__ = ["LogisticRegression"]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 class LogisticRegression(LinearBinaryClassifier):
@@ -102,7 +101,7 @@ class LogisticRegression(LinearBinaryClassifier):
             # log(1 + exp(-m)) computed stably.
             losses = np.logaddexp(0.0, -margins)
             loss = losses.mean() + 0.5 * alpha * (w @ w)
-            probs = _sigmoid(-margins)  # d loss / d margin = -p
+            probs = sigmoid(-margins)  # d loss / d margin = -p
             grad_w = -(X.T @ (y * probs)) / n_samples + alpha * w
             grad = np.empty_like(w_full)
             grad[:n_features] = grad_w
@@ -138,27 +137,46 @@ class LogisticRegression(LinearBinaryClassifier):
         step0 = 1.0
         t = 0
         batch = min(self._BATCH, n_samples)
+        # Each minibatch is a contiguous slice of the epoch's rows gathered
+        # into one C-ordered copy: the same bits as gathering ``X[rows]``
+        # per minibatch, whatever the memory order of ``X``.
+        X_epoch = np.ascontiguousarray(X)
+        negated = y_epoch = -y
         previous_loss = np.inf
         for epoch in range(self.max_iter):
-            order = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
+            if self.shuffle:
+                order = rng.permutation(n_samples)
+                X_epoch = X[order]
+                y_epoch = negated[order]
             for start in range(0, n_samples, batch):
-                rows = order[start : start + batch]
-                t += rows.size
-                eta = step0 / (1.0 + step0 * alpha * t) if alpha else step0 / np.sqrt(t)
-                margins = y[rows] * (X[rows] @ w + b)
-                # d loss / d margin averaged over the minibatch.
-                gradient_scales = -y[rows] * _sigmoid(-margins) / rows.size
+                X_batch = X_epoch[start : start + batch]
+                y_batch = y_epoch[start : start + batch]
+                size = y_batch.shape[0]
+                t += size
+                eta = step0 / (1.0 + step0 * alpha * t) if alpha else step0 / math.sqrt(t)
+                # d loss / d margin averaged over the minibatch:
+                # -y * sigmoid(-margin) / size, margin = y * (X @ w + b),
+                # with y_batch holding -y.
+                scales = X_batch @ w
+                scales += b
+                scales *= y_batch
+                sigmoid(scales, out=scales)
+                scales *= y_batch
+                scales /= size
                 if self.penalty == "l2":
                     w *= 1.0 - eta * alpha
-                w -= eta * (X[rows].T @ gradient_scales)
+                w -= eta * (X_batch.T @ scales)
                 if self.fit_intercept:
-                    b -= eta * float(gradient_scales.sum())
+                    b -= eta * float(np.add.reduce(scales))
                 if self.penalty == "l1":
                     # Soft-threshold (proximal step for the L1 term).
                     shrink = eta * alpha
                     w = np.sign(w) * np.maximum(np.abs(w) - shrink, 0.0)
-            margins = y * (X @ w + b)
-            loss = float(np.logaddexp(0.0, -margins).mean())
+            losses = X @ w
+            losses += b
+            losses *= negated
+            np.logaddexp(0.0, losses, out=losses)
+            loss = float(np.add.reduce(losses)) / n_samples
             if self.penalty == "l2":
                 loss += 0.5 * alpha * float(w @ w)
             elif self.penalty == "l1":

@@ -61,15 +61,21 @@ class AveragedPerceptron(LinearBinaryClassifier):
         beta = 0.0
         counter = 1.0
         mistakes_last_epoch = 0
+        # A Python float: a numpy float32 rate times a Python float label
+        # would stay float32, where the numpy label promoted it.
+        learning_rate = float(self.learning_rate)
+        rows = list(X)
+        labels = y.tolist()
         for _ in range(self.max_iter):
-            indices = rng.permutation(n_samples) if self.shuffle else np.arange(n_samples)
+            indices = rng.permutation(n_samples).tolist() if self.shuffle else range(n_samples)
             mistakes_last_epoch = 0
             for i in indices:
-                if y[i] * (X[i] @ w + b) <= 0.0:
-                    update = self.learning_rate * y[i]
-                    w += update * X[i]
+                x_i = rows[i]
+                if labels[i] * (x_i @ w + b) <= 0.0:
+                    update = learning_rate * labels[i]
+                    w += update * x_i
                     b += update
-                    u += counter * update * X[i]
+                    u += counter * update * x_i
                     beta += counter * update
                     mistakes_last_epoch += 1
                 counter += 1.0

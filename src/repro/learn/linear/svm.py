@@ -8,6 +8,8 @@ in the linear family (Table 5).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -80,23 +82,27 @@ class LinearSVC(LinearBinaryClassifier):
         # 1/sqrt(lam); projecting onto it keeps the iterates bounded even
         # with the large early step sizes.
         radius = 1.0 / np.sqrt(lam)
+        hinge = self.loss == "hinge"
+        rows = list(X)
+        labels = y.tolist()
         previous_objective = np.inf
         for epoch in range(self.max_iter):
-            for i in rng.permutation(n_samples):
+            for i in rng.permutation(n_samples).tolist():
                 t += 1
                 eta = 1.0 / (lam * t)
-                margin = y[i] * (X[i] @ w + b)
+                x_i, y_i = rows[i], labels[i]
+                margin = y_i * (x_i @ w + b)
                 w *= 1.0 - eta * lam
                 if margin < 1.0:
-                    if self.loss == "hinge":
-                        gradient_scale = -y[i]
+                    if hinge:
+                        gradient_scale = -y_i
                     else:
-                        gradient_scale = -2.0 * max(1.0 - margin, 0.0) * y[i]
-                    w -= eta * gradient_scale * X[i]
+                        gradient_scale = -2.0 * max(1.0 - margin, 0.0) * y_i
+                    w -= eta * gradient_scale * x_i
                     if self.fit_intercept:
                         # Smaller, decaying step for the unregularized bias.
                         b -= (eta * lam) * gradient_scale
-                norm = np.linalg.norm(w)
+                norm = math.sqrt(w @ w)
                 if norm > radius:
                     w *= radius / norm
             objective = self._objective(X, y, w, b, lam)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.base import BaseEstimator, ClassifierMixin, sigmoid
 from repro.learn.validation import (
     check_binary_labels,
     check_predict_input,
@@ -32,7 +32,7 @@ _ACTIVATIONS = {
         lambda z, a: 1.0 - a**2,
     ),
     "logistic": (
-        lambda z: 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
+        sigmoid,
         lambda z, a: a * (1.0 - a),
     ),
 }
@@ -178,7 +178,7 @@ class MLPClassifier(BaseEstimator, ClassifierMixin):
             z = a @ w + b
             pre_activations.append(z)
             if layer == last:
-                a = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+                a = sigmoid(z)
             else:
                 a = activation_fn(z)
             activations.append(a)

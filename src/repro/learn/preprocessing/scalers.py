@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, TransformerMixin, check_is_fitted
-from repro.learn.validation import check_array
+from repro.learn.base import BaseEstimator, TransformerMixin
+from repro.learn.validation import check_array, check_predict_input
 
 __all__ = [
     "StandardScaler",
@@ -58,8 +58,7 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "mean_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "mean_")
         return (X - self.mean_) / self.scale_
 
 
@@ -84,8 +83,7 @@ class MinMaxScaler(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "scale_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "scale_")
         return X * self.scale_ + self.min_
 
 
@@ -101,8 +99,7 @@ class MaxAbsScaler(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "scale_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "scale_")
         return X / self.scale_
 
 
@@ -117,8 +114,7 @@ class _RowNormalizer(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "n_features_in_")
-        X = check_array(X)
+        X = check_predict_input(self, X, "n_features_in_")
         # Normalization is scale-invariant, so divide each row by its peak
         # magnitude first: raising subnormal-range entries to a power would
         # otherwise underflow and let x/||x|| land slightly above 1.
@@ -151,5 +147,4 @@ class IdentityTransform(BaseEstimator, TransformerMixin):
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "n_features_in_")
-        return check_array(X)
+        return check_predict_input(self, X, "n_features_in_")

@@ -148,3 +148,10 @@ class TestFisherLDA:
         X, y = informative_data
         Z = FisherLDATransform(keep_original=2).fit_transform(X, y)
         assert Z.shape == (X.shape[0], 3)
+
+    def test_transform_rejects_a_width_other_than_the_fit(
+            self, informative_data):
+        X, y = informative_data
+        fitted = FisherLDATransform(keep_original=2).fit(X, y)
+        with pytest.raises(ValidationError, match="fitted on"):
+            fitted.transform(X[:, :-1])

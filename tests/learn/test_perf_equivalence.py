@@ -7,16 +7,31 @@ are pure wall-clock optimizations, so every test here asserts
 in ``benchmarks/perf_reference.py`` — not tolerance-based closeness.
 The platform tests pin down the FitCache routing the P304 findings
 introduced: exact hit/miss counts and unchanged predictions.
+
+The online linear learners (SGD logistic regression, Pegasos SVM, Bayes
+point machine, averaged perceptron) make fewer numpy calls per training
+step than the seed loops; their fitted coefficients, intercepts and
+iteration counts must match the seed's byte for byte.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.perf_reference import (
+    ReferenceAveragedPerceptron,
+    ReferenceBayesPointMachine,
+    ReferenceLinearSVC,
+    ReferenceLogisticRegression,
     ReferenceStratifiedKFold,
     reference_mutual_info_score,
 )
 from repro.learn.feature_selection.filters import mutual_info_score
+from repro.learn.linear import (
+    AveragedPerceptron,
+    BayesPointMachine,
+    LinearSVC,
+    LogisticRegression,
+)
 from repro.learn.model_selection import StratifiedKFold
 from repro.platforms import LocalLibrary, Microsoft
 
@@ -95,6 +110,97 @@ class TestStratifiedKFoldEquivalence:
         for (fast_train, fast_test), (ref_train, ref_test) in zip(fast, ref):
             assert np.array_equal(fast_train, ref_train)
             assert np.array_equal(fast_test, ref_test)
+
+
+def _online_problems():
+    """(X, y) pairs covering the layouts the minibatch slicing must not
+    change: C- and Fortran-ordered and strided ``X``, fewer samples than
+    one minibatch, a sample count that is not a multiple of 32, one
+    feature, and noisy labels so every learner keeps updating."""
+    rng = np.random.default_rng(20)
+    problems = []
+    for n_samples, n_features, layout in [(20, 3, "C"), (100, 5, "F"),
+                                          (77, 7, "strided"), (64, 1, "C"),
+                                          (45, 4, "F")]:
+        X = rng.normal(size=(n_samples, 2 * n_features))
+        if layout == "strided":
+            X = X[:, ::2]
+        else:
+            X = X[:, :n_features].copy(order=layout)
+        noise = rng.normal(scale=0.7, size=n_samples)
+        y = np.where(X[:, 0] - 0.5 * X[:, -1] + noise > 0, "yes", "no")
+        problems.append((X, y))
+    return problems
+
+
+ONLINE_PROBLEMS = _online_problems()
+
+
+def assert_same_fit(fast, ref, extra=()):
+    for X, y in ONLINE_PROBLEMS:
+        fast.fit(X, y)
+        ref.fit(X, y)
+        assert fast.coef_.tobytes() == ref.coef_.tobytes()
+        assert repr(fast.intercept_) == repr(ref.intercept_)
+        for name in extra:
+            got, want = getattr(fast, name), getattr(ref, name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestOnlineLearnerEquivalence:
+    @pytest.mark.parametrize("penalty", ["l1", "l2", "none"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_sgd_logistic_regression(self, penalty, C, shuffle,
+                                     fit_intercept):
+        params = dict(penalty=penalty, C=C, solver="sgd", max_iter=30,
+                      shuffle=shuffle, fit_intercept=fit_intercept,
+                      random_state=3)
+        assert_same_fit(LogisticRegression(**params),
+                        ReferenceLogisticRegression(**params), ["n_iter_"])
+
+    def test_sgd_logistic_regression_until_converged(self):
+        params = dict(solver="sgd", tol=1e-3, random_state=5)
+        assert_same_fit(LogisticRegression(**params),
+                        ReferenceLogisticRegression(**params), ["n_iter_"])
+
+    @pytest.mark.parametrize("loss", ["hinge", "squared_hinge"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_pegasos_svm(self, loss, C, fit_intercept):
+        params = dict(loss=loss, C=C, max_iter=8,
+                      fit_intercept=fit_intercept, random_state=4)
+        assert_same_fit(LinearSVC(**params), ReferenceLinearSVC(**params),
+                        ["n_iter_"])
+
+    @pytest.mark.parametrize("n_members", [1, 3, 11])
+    @pytest.mark.parametrize("n_iter", [1, 3, 11])
+    def test_bayes_point_machine(self, n_members, n_iter):
+        params = dict(n_members=n_members, n_iter=n_iter, random_state=6)
+        assert_same_fit(BayesPointMachine(**params),
+                        ReferenceBayesPointMachine(**params),
+                        ["member_weights_"])
+
+    @pytest.mark.parametrize("learning_rate", [0.5, 1, 2.0, np.float32(0.3)])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_averaged_perceptron(self, learning_rate, shuffle):
+        params = dict(learning_rate=learning_rate, max_iter=12,
+                      shuffle=shuffle, random_state=7)
+        assert_same_fit(AveragedPerceptron(**params),
+                        ReferenceAveragedPerceptron(**params), ["mistakes_"])
+
+    def test_separable_data_stops_early_alike(self):
+        X, _ = ONLINE_PROBLEMS[1]
+        y = X[:, 0] > 0
+        for fast, ref in [(AveragedPerceptron(random_state=1),
+                           ReferenceAveragedPerceptron(random_state=1)),
+                          (BayesPointMachine(random_state=1),
+                           ReferenceBayesPointMachine(random_state=1))]:
+            fast.fit(X, y)
+            ref.fit(X, y)
+            assert fast.coef_.tobytes() == ref.coef_.tobytes()
+            assert fast.intercept_ == ref.intercept_
 
 
 class TestPlatformFitCacheRouting:

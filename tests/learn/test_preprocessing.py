@@ -109,6 +109,16 @@ def test_identity_transform_roundtrip(rng):
     assert np.array_equal(IdentityTransform().fit_transform(X), X)
 
 
+@pytest.mark.parametrize("transformer", [
+    StandardScaler, MinMaxScaler, MaxAbsScaler, L1Normalizer, L2Normalizer,
+    IdentityTransform,
+])
+def test_transform_rejects_a_width_other_than_the_fit(transformer, rng):
+    fitted = transformer().fit(rng.normal(size=(10, 1)))
+    with pytest.raises(ValidationError, match="fitted on 1 features, got 3"):
+        fitted.transform(rng.normal(size=(4, 3)))
+
+
 class TestMedianImputer:
     def test_median_fill(self):
         X = np.array([[1.0, np.nan], [3.0, 4.0], [np.nan, 8.0]])

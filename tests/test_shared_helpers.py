@@ -8,10 +8,11 @@ relative imports the flow index resolves).  The gate parses
 every name its copies have gone by.
 
 The estimators of ``repro.learn`` likewise share one prediction gate
-(the width check against ``n_features_in_``) and one probability label
-rule (``predict_proba(X)[:, 1] > 0.5``); the linear family's copy of
-the width check once raised ``ValueError`` where every other raised
-``ValidationError``.
+(the width check against ``n_features_in_``), one probability label
+rule (``predict_proba(X)[:, 1] > 0.5``) and one logistic sigmoid (an
+``exp`` of an input clipped to ``[-500, 500]``); the linear family's
+copy of the width check once raised ``ValueError`` where every other
+raised ``ValidationError``.
 """
 
 import ast
@@ -89,19 +90,34 @@ def _is_label_rule(node: ast.Compare) -> bool:
             and node.comparators[0].value == 0.5)
 
 
+def _is_sigmoid(function: ast.AST) -> bool:
+    """Calls ``exp`` and names the logistic clip bound 500."""
+    nodes = list(ast.walk(function))
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "exp" for node in nodes
+    ) and any(
+        isinstance(node, ast.Constant) and node.value == 500 for node in nodes
+    )
+
+
 def _learn_decisions() -> dict:
     """Decision -> where :mod:`repro.learn` makes it (modules for the
-    width check, ``module:Class`` for the label rule)."""
-    found = {"width check": set(), "label rule": set()}
+    width check, ``module:Class`` for the label rule, ``module:function``
+    for the sigmoid)."""
+    found = {"width check": set(), "label rule": set(), "sigmoid": set()}
     for path in sorted(LEARN.rglob("*.py")):
         module = str(path.relative_to(LEARN))
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in ast.walk(cls):
-                if isinstance(node, ast.Compare) and _is_label_rule(node):
-                    found["label rule"].add(f"{module}:{cls.name}")
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+                if _is_sigmoid(scope):
+                    name = getattr(scope, "name", "<lambda>")
+                    found["sigmoid"].add(f"{module}:{name}")
+            elif isinstance(scope, ast.ClassDef):
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Compare) and _is_label_rule(node):
+                        found["label rule"].add(f"{module}:{scope.name}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare) and _compares_width(node):
                 found["width check"].add(module)
@@ -113,4 +129,5 @@ def test_learn_makes_each_prediction_decision_once():
     assert {decision: sorted(where) for decision, where in found.items()} == {
         "width check": ["validation.py"],
         "label rule": ["base.py:ClassifierMixin"],
+        "sigmoid": ["base.py:sigmoid"],
     }
