@@ -16,8 +16,11 @@ four scenarios:
 
 Every scenario asserts the optimized path produces **bit-identical**
 outputs before timing counts; speed without equality is a bug, not a
-result.  Timings, speedups and the host (cores, Python, numpy, scipy)
-are written to ``BENCH_perf.json``.
+result.  Seed and optimized code are timed in alternating pairs, and a
+scenario's speedup is the median of its pair ratios (at least 5), so a
+host that slows down between phases of the run does not fail it.
+Timings, speedups, the pair ratios and the host (cores, Python, numpy,
+scipy) are written to ``BENCH_perf.json``.
 
 (A fourth candidate — vectorizing ``count_score`` with a whole-matrix
 sort — measured ~2x *slower* than the seed's per-column ``np.unique``
@@ -77,10 +80,10 @@ from repro.learn.model_selection import StratifiedKFold
 SIZES = {
     "quick": {"n_samples": 2000, "n_features": 30, "n_splits": 5,
               "n_candidates": 6, "online_samples": 150,
-              "online_features": 6, "repeats": 2},
+              "online_features": 6, "pairs": 5},
     "full": {"n_samples": 20000, "n_features": 80, "n_splits": 10,
              "n_candidates": 12, "online_samples": 600,
-             "online_features": 10, "repeats": 3},
+             "online_features": 10, "pairs": 7},
 }
 
 #: (optimized, seed reference, parameters) per fit of the
@@ -106,13 +109,33 @@ def make_dataset(n_samples: int, n_features: int, seed: int = 0):
     return X, y
 
 
-def _best_time(fn, repeats: int) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _paired_timing(baseline, optimized, pairs: int) -> dict:
+    """Time ``baseline`` and ``optimized`` in alternating pairs.
+
+    Each pair runs both back to back, the first of the two alternating
+    from pair to pair, so host drift between phases of the run moves
+    both sides of a pair alike.  The speedup is the median of the pair
+    ratios (baseline over optimized); the times are each side's median.
+    """
+    ratios, base_times, opt_times = [], [], []
+    for pair in range(pairs):
+        if pair % 2:
+            t_opt, t_base = _seconds(optimized), _seconds(baseline)
+        else:
+            t_base, t_opt = _seconds(baseline), _seconds(optimized)
+        base_times.append(t_base)
+        opt_times.append(t_opt)
+        ratios.append(t_base / t_opt)
+    return {"baseline_s": float(np.median(base_times)),
+            "optimized_s": float(np.median(opt_times)),
+            "speedup": float(np.median(ratios)),
+            "pair_ratios": ratios}
 
 
 def scenario_mutual_info(size: dict) -> dict:
@@ -121,11 +144,9 @@ def scenario_mutual_info(size: dict) -> dict:
     identical = bool(np.array_equal(mutual_info_score(X, y),
                                     reference_mutual_info_score(X, y)))
     assert identical, "vectorized mutual_info_score diverged from seed"
-    t_base = _best_time(lambda: reference_mutual_info_score(X, y),
-                        size["repeats"])
-    t_opt = _best_time(lambda: mutual_info_score(X, y), size["repeats"])
-    return {"baseline_s": t_base, "optimized_s": t_opt,
-            "speedup": t_base / t_opt, "bit_identical": identical}
+    timing = _paired_timing(lambda: reference_mutual_info_score(X, y),
+                            lambda: mutual_info_score(X, y), size["pairs"])
+    return {**timing, "bit_identical": identical}
 
 
 def scenario_stratified_kfold(size: dict) -> dict:
@@ -143,16 +164,13 @@ def scenario_stratified_kfold(size: dict) -> dict:
     )
     assert identical, "vectorized StratifiedKFold diverged from seed"
 
-    t_base = _best_time(
+    timing = _paired_timing(
         lambda: list(ReferenceStratifiedKFold(
             n_splits=splits, random_state=0).split(X, y)),
-        size["repeats"])
-    t_opt = _best_time(
         lambda: list(StratifiedKFold(
             n_splits=splits, random_state=0).split(X, y)),
-        size["repeats"])
-    return {"baseline_s": t_base, "optimized_s": t_opt,
-            "speedup": t_base / t_opt, "bit_identical": bool(identical)}
+        size["pairs"])
+    return {**timing, "bit_identical": bool(identical)}
 
 
 def scenario_feat_cache_sweep(size: dict) -> dict:
@@ -182,10 +200,8 @@ def scenario_feat_cache_sweep(size: dict) -> dict:
                     for b, o in zip(base_out, opt_out))
     assert identical, "cached FEAT transforms diverged from refits"
 
-    t_base = _best_time(baseline, size["repeats"])
-    t_opt = _best_time(optimized, size["repeats"])
-    return {"baseline_s": t_base, "optimized_s": t_opt,
-            "speedup": t_base / t_opt, "bit_identical": bool(identical)}
+    timing = _paired_timing(baseline, optimized, size["pairs"])
+    return {**timing, "bit_identical": bool(identical)}
 
 
 def scenario_online_learners(size: dict) -> dict:
@@ -208,10 +224,9 @@ def scenario_online_learners(size: dict) -> dict:
     )
     assert identical, "online learner training diverged from seed"
 
-    t_base = _best_time(lambda: fit_all(True), size["repeats"])
-    t_opt = _best_time(lambda: fit_all(False), size["repeats"])
-    return {"baseline_s": t_base, "optimized_s": t_opt,
-            "speedup": t_base / t_opt, "bit_identical": bool(identical)}
+    timing = _paired_timing(lambda: fit_all(True), lambda: fit_all(False),
+                            size["pairs"])
+    return {**timing, "bit_identical": bool(identical)}
 
 
 SCENARIOS = {

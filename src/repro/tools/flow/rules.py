@@ -379,7 +379,7 @@ class DeadCodeRule(FlowRule):
             else:
                 nodes = [top]
             for node in nodes:
-                yield from self._expr_refs(module_name, node)
+                yield from self._expr_refs(module_name, ast.walk(node))
 
     def _decorated_defs(self, module: ModuleInfo) -> Iterator[tuple]:
         """Defs with a side-effectful decorator register themselves."""
@@ -443,7 +443,10 @@ class DeadCodeRule(FlowRule):
         node = self._def_node(module, symbol)
         if node is None:
             return
-        yield from self._expr_refs(module_name, node, skip_name=name)
+        # Every caller folds these into a set, so a def's nodes may come
+        # from its shared scope lists in any order.
+        yield from self._expr_refs(module_name, module.iter_subtree(node),
+                                   skip_name=name)
 
     @staticmethod
     def _def_node(module: ModuleInfo, symbol) -> ast.AST | None:
@@ -461,10 +464,12 @@ class DeadCodeRule(FlowRule):
                         return node
         return None
 
-    def _expr_refs(self, module_name: str, node: ast.AST,
+    def _expr_refs(self, module_name: str, nodes,
                    skip_name: str | None = None) -> Iterator[tuple]:
+        """Symbol keys the names and module-attribute chains in ``nodes``
+        reference."""
         bindings = self.index.bindings.get(module_name, {})
-        for child in ast.walk(node):
+        for child in nodes:
             if isinstance(child, ast.Name):
                 if child.id == skip_name:
                     continue

@@ -54,6 +54,10 @@ _PASSTHROUGH = frozenset({
 
 _MAX_ROUNDS = 20
 
+#: The nodes a scope analysis reads: bindings, loops, returns and calls.
+_HANDLED = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.Return,
+            ast.Call)
+
 
 @dataclass
 class TaintSummary:
@@ -85,8 +89,10 @@ class _Scope:
 
     @cached_property
     def nodes(self) -> list:
-        """The scope's own nodes (see :func:`_scope_nodes`), walked once."""
-        return list(_scope_nodes(self.root))
+        """The scope's own nodes that :meth:`_ScopeAnalysis.run` handles
+        (see :func:`_scope_nodes`), in walk order, walked once."""
+        return [node for node in _scope_nodes(self.root)
+                if isinstance(node, _HANDLED)]
 
 
 def _scope_nodes(root: ast.AST):

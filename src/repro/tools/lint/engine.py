@@ -163,13 +163,29 @@ def import_bindings(module: "ModuleInfo", nodes: Iterable | None = None) -> dict
     return bindings
 
 
+#: Nodes whose bodies are scopes of their own (see ``ModuleInfo.walk``).
+_SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+#: The parser's shared singletons (``ast.Load()``, ``ast.Add()``, ...):
+#: no analyzer reads them as nodes, so the node lists leave them out.
+_SHARED_LEAVES = (ast.expr_context, ast.boolop, ast.operator, ast.unaryop,
+                  ast.cmpop)
+
+
+def _walk_nodes(node: ast.AST) -> list:
+    """``ast.walk(node)`` without the shared leaves."""
+    return [child for child in ast.walk(node)
+            if not isinstance(child, _SHARED_LEAVES)]
+
+
 @dataclass
 class ModuleInfo:
     """One parsed source file.
 
-    The derived facts (:attr:`dotted_name`, :attr:`nodes`,
-    :attr:`bindings`, :attr:`numpy_aliases`) are computed on first use
-    and kept on the instance; treat them as read-only.
+    The derived facts (:attr:`dotted_name`, :attr:`nodes` and the scope
+    node lists behind :meth:`walk`, :attr:`bindings`,
+    :attr:`numpy_aliases`) are computed on first use and kept on the
+    instance; treat them as read-only.
     """
 
     path: Path
@@ -203,8 +219,87 @@ class ModuleInfo:
 
     @cached_property
     def nodes(self) -> list:
-        """Every node of :attr:`tree`, in ``ast.walk`` order, walked once."""
-        return list(ast.walk(self.tree))
+        """Every node of :attr:`tree` but the shared leaves, in
+        ``ast.walk`` order, walked once."""
+        return self._scoped_walk[0]
+
+    @cached_property
+    def _scoped_walk(self) -> tuple:
+        """``(nodes, own, inner)`` from one breadth-first walk of the tree.
+
+        ``own[id(scope)]`` holds the nodes of one scope (the module, a
+        def, a class or a lambda) in ``ast.walk`` order: the scope node
+        and every node under it that no nested scope node encloses.  A
+        nested scope node heads its own list, so each node is in exactly
+        one.  ``inner[id(scope)]`` lists the scope nodes directly nested
+        in ``scope``.
+        """
+        nodes: list = []
+        own: dict = {}
+        inner: dict = {}
+        # Level by level, each node beside the list of its scope.
+        level, scopes = [self.tree], [None]
+        while level:
+            below, below_scopes = [], []
+            for node, scope in zip(level, scopes):
+                nodes.append(node)
+                if scope is None or isinstance(node, _SCOPE_TYPES):
+                    if scope is not None:
+                        inner.setdefault(id(scope[0]), []).append(node)
+                    scope = own[id(node)] = [node]
+                else:
+                    scope.append(node)
+                for child in ast.iter_child_nodes(node):
+                    if not isinstance(child, _SHARED_LEAVES):
+                        below.append(child)
+                        below_scopes.append(scope)
+            level, scopes = below, below_scopes
+        return nodes, own, inner
+
+    def walk(self, scope: ast.AST) -> list:
+        """The nodes of ``ast.walk(scope)`` in that order, without the
+        shared leaves; walked at most once per check for :attr:`tree` or
+        a def, class or lambda of it.
+
+        A scope with no nested scope is its own node list; one with
+        nested scopes keeps its walk on first use (nested scopes are
+        rare, so these lists stay small).  Either list is shared by
+        every caller: read it, never change it.  Any other node is
+        walked afresh.
+        """
+        _, own, inner = self._scoped_walk
+        nodes = own.get(id(scope))
+        if nodes is None:
+            return _walk_nodes(scope)
+        if id(scope) not in inner:
+            return nodes
+        walked = self._nested_walks.get(id(scope))
+        if walked is None:
+            walked = self._nested_walks[id(scope)] = _walk_nodes(scope)
+        return walked
+
+    @cached_property
+    def _nested_walks(self) -> dict:
+        """``id(scope) -> walk(scope)`` for scopes holding nested scopes,
+        filled by :meth:`walk`."""
+        return {}
+
+    def iter_subtree(self, node: ast.AST) -> Iterator[ast.AST]:
+        """The nodes of :meth:`walk` ``(node)`` in no fixed order.
+
+        For :attr:`tree` or a def, class or lambda of it they come from
+        the shared scope lists, so nothing is walked.  Only order-free
+        consumers (sets, ``any``) may use this.
+        """
+        _, own, inner = self._scoped_walk
+        if id(node) not in own:
+            yield from _walk_nodes(node)
+            return
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            yield from own[id(current)]
+            stack.extend(inner.get(id(current), ()))
 
     @cached_property
     def bindings(self) -> dict:

@@ -226,9 +226,8 @@ class EstimatorContractRule(Rule):
     def _check_fit(
         self, module: ModuleInfo, cls: ast.ClassDef, fit: ast.FunctionDef
     ) -> Iterator[Violation]:
-        returns = [
-            node for node in ast.walk(fit) if isinstance(node, ast.Return)
-        ]
+        nodes = module.walk(fit)
+        returns = [node for node in nodes if isinstance(node, ast.Return)]
         if not returns:
             yield self._violation(
                 module, fit, f"{cls.name}.fit must end with 'return self'",
@@ -240,7 +239,7 @@ class EstimatorContractRule(Rule):
                     f"every return in {cls.name}.fit must be 'return self' "
                     "so calls chain (est.fit(X, y).predict(X))",
                 )
-        if not self._fit_validates(fit):
+        if not self._fit_validates(nodes):
             yield self._violation(
                 module, fit,
                 f"{cls.name}.fit must validate its input through "
@@ -249,8 +248,8 @@ class EstimatorContractRule(Rule):
             )
 
     @staticmethod
-    def _fit_validates(fit: ast.FunctionDef) -> bool:
-        for node in ast.walk(fit):
+    def _fit_validates(nodes) -> bool:
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
             path = dotted_path(node.func)
@@ -267,7 +266,7 @@ class EstimatorContractRule(Rule):
     def _check_fitted_attributes(
         self, module: ModuleInfo, cls: ast.ClassDef, method: ast.FunctionDef
     ) -> Iterator[Violation]:
-        for node in ast.walk(method):
+        for node in module.walk(method):
             if isinstance(node, ast.Assign):
                 targets = node.targets
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.tools.flow.graph import FlowIndex, FunctionInfo
 from repro.tools.lint.engine import (
+    ModuleInfo,
     names_in,
     numpy_attr,
     safe_unparse,
@@ -203,12 +204,21 @@ class LoopModel:
         return depths
 
 
-def _stored_attrs(node: ast.AST) -> set:
-    """Attribute names written anywhere under ``node`` (``self.x = ...``)."""
-    return {
-        n.attr for n in ast.walk(node)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
-    }
+def _stores(node: ast.AST) -> tuple:
+    """``(names, attrs)`` written anywhere under ``node``, in one walk.
+
+    ``names`` is :func:`store_names`; ``attrs`` the attribute names
+    (``self.x = ...``).
+    """
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) \
+                and isinstance(n.ctx, ast.Store):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            else:
+                attrs.add(n.attr)
+    return names, attrs
 
 
 def _attr_names(node: ast.AST) -> set:
@@ -238,10 +248,11 @@ def _annotation_is_array(node: ast.expr) -> bool:
 class _FunctionWalker:
     """Builds one :class:`FunctionLoops` from a function's AST."""
 
-    def __init__(self, info: FunctionInfo, relpath: str, np_aliases: set):
+    def __init__(self, info: FunctionInfo, module: ModuleInfo):
         self.info = info
-        self.np = np_aliases
-        self.out = FunctionLoops(key=info.key, relpath=relpath)
+        self.module = module
+        self.np = module.numpy_aliases
+        self.out = FunctionLoops(key=info.key, relpath=module.relpath)
         self.arrays = self._seed_arrays()
         self._loop_stack: list[LoopInfo] = []
         self._tainted_stack: list[tuple] = []  # (store names, stored attrs)
@@ -284,12 +295,9 @@ class _FunctionWalker:
                 return True
         return False
 
-    def _propagate_arrays(self) -> None:
-        """Two sweeps over simple assignments to grow the arrayish set."""
-        assigns = [
-            node for node in ast.walk(self.info.node)
-            if isinstance(node, ast.Assign)
-        ]
+    def _propagate_arrays(self, assigns) -> None:
+        """Two sweeps over the simple assignments, in ``ast.walk`` order,
+        to grow the arrayish set."""
         for _ in range(2):
             before = len(self.arrays)
             for node in assigns:
@@ -380,8 +388,16 @@ class _FunctionWalker:
     # -- walking --------------------------------------------------------
 
     def run(self) -> FunctionLoops:
-        self._propagate_arrays()
-        source = names_in(self.info.node) | _attr_names(self.info.node)
+        assigns = []
+        source = set()
+        for node in self.module.walk(self.info.node):
+            if isinstance(node, ast.Assign):
+                assigns.append(node)
+            elif isinstance(node, ast.Name):
+                source.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                source.add(node.attr)
+        self._propagate_arrays(assigns)
         all_params = set(self.info.all_param_names(skip_self=False))
         self.out.touches_cache = bool(
             (_CACHE_MARKERS & source) or (_CACHE_MARKERS & all_params)
@@ -444,9 +460,7 @@ class _FunctionWalker:
         )
         self.out.loops.append(loop)
         self._loop_stack.append(loop)
-        self._tainted_stack.append(
-            (store_names(stmt) | set(targets), _stored_attrs(stmt))
-        )
+        self._tainted_stack.append(_stores(stmt))  # targets included
         if kind == "while":
             self._scan_expr(stmt.test)  # re-evaluated every iteration
         self._visit_block(stmt.body)
@@ -572,6 +586,6 @@ def build_loop_model(index: FlowIndex) -> LoopModel:
         module = index.modules.get(info.module_name)
         if module is None:
             continue
-        walker = _FunctionWalker(info, module.relpath, module.numpy_aliases)
+        walker = _FunctionWalker(info, module)
         model.functions[key] = walker.run()
     return model

@@ -390,7 +390,7 @@ class _ModuleModel:
         for item in cls.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for stmt in ast.walk(item):
+            for stmt in self.module.walk(item):
                 if not (isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1):
                     continue
@@ -439,11 +439,51 @@ class _ModuleModel:
 # ---------------------------------------------------------------------------
 
 
-def _stored_names(body) -> set:
-    """Every name bound in ``body``, not descending into nested defs."""
+_TRY = (ast.Try, *((ast.TryStar,) if hasattr(ast, "TryStar") else ()))
+_MATCH = (ast.Match,) if hasattr(ast, "Match") else ()
+
+
+def _scanned_parts(stmt) -> list | None:
+    """The expressions of ``stmt`` that :meth:`_FunctionWalker._walk_stmt`
+    scans for calls.
+
+    ``None`` for a simple statement, which is scanned whole.
+    """
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(stmt, _MATCH):
+        return [stmt.subject]
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef, *_TRY)):
+        return []
+    return None
+
+
+def _own_facts(body) -> tuple:
+    """``(names, bindings, calls)`` of ``body`` from one walk of each
+    statement's own nodes (the :func:`_own_nodes` walk).
+
+    ``names`` is every name bound in ``body``; ``bindings`` lists the
+    single-name assignments and ``with ... as name`` items, in walk
+    order.  ``calls`` maps the id of each expression the statement walk
+    scans (a simple statement, or a compound statement's test, iterable,
+    context managers or subject) to the calls in it, in
+    :func:`_calls_in` order: a depth-first walk visits each subtree in
+    one run, in the order a walk from its root would.  An expression
+    missing from ``calls`` is walked by :func:`_calls_in` when scanned,
+    so the map only saves walks.
+    """
     names: set = set()
+    bindings: list = []
+    calls: dict = {}
     for stmt in body:
-        for node in _own_nodes(stmt):
+        stack = [(stmt, None)]
+        while stack:
+            node, unit = stack.pop()
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -453,7 +493,30 @@ def _stored_names(body) -> set:
                 names.add(node.name)
             elif isinstance(node, (ast.Global, ast.Nonlocal)):
                 names.difference_update(node.names)
-    return names
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                bindings.append((node.targets[0].id, node.value))
+            elif isinstance(node, ast.withitem) \
+                    and isinstance(node.optional_vars, ast.Name):
+                bindings.append((node.optional_vars.id, node.context_expr))
+            if unit is None:
+                if id(node) in calls:
+                    unit = node
+                elif isinstance(node, ast.stmt):
+                    parts = _scanned_parts(node)
+                    if parts is None:
+                        unit = node
+                        calls[id(node)] = []
+                    for part in parts or ():
+                        calls[id(part)] = []
+            if unit is not None and isinstance(node, ast.Call):
+                calls[id(unit)].append(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+                continue  # a def binds its name; its body is its own
+            stack.extend([(child, unit)
+                          for child in ast.iter_child_nodes(node)])
+    return names, bindings, calls
 
 
 def _own_nodes(stmt) -> Iterator[ast.AST]:
@@ -504,20 +567,15 @@ class _FunctionWalker:
         self.facts = facts
         self.con = con
         self.call_targets = call_targets
+        self.calls: dict = {}  # filled by prepare()
 
     # -- scope preparation ----------------------------------------------
 
     def prepare(self, body, params=()) -> None:
-        self.scope.local_names = _stored_names(body) | set(params)
-        for stmt in body:
-            for node in _own_nodes(stmt):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                        and isinstance(node.targets[0], ast.Name):
-                    self._bind_local(node.targets[0].id, node.value)
-                elif isinstance(node, ast.withitem) \
-                        and isinstance(node.optional_vars, ast.Name):
-                    self._bind_local(node.optional_vars.id,
-                                     node.context_expr)
+        names, bindings, self.calls = _own_facts(body)
+        self.scope.local_names = names | set(params)
+        for name, value in bindings:
+            self._bind_local(name, value)
 
     def _bind_local(self, name: str, value: ast.expr) -> None:
         kind = _ctor_kind(value)
@@ -572,15 +630,14 @@ class _FunctionWalker:
             self.walk(stmt.body, held)
             self.walk(stmt.orelse, held)
             return
-        if isinstance(stmt, (ast.Try, *(
-                (ast.TryStar,) if hasattr(ast, "TryStar") else ()))):
+        if isinstance(stmt, _TRY):
             self.walk(stmt.body, held)
             for handler in stmt.handlers:
                 self.walk(handler.body, held)
             self.walk(stmt.orelse, held)
             self.walk(stmt.finalbody, held)
             return
-        if hasattr(ast, "Match") and isinstance(stmt, ast.Match):
+        if isinstance(stmt, _MATCH):
             self._scan_expr(stmt.subject, held)
             for case in stmt.cases:
                 self.walk(case.body, held)
@@ -591,14 +648,19 @@ class _FunctionWalker:
         self._record_writes(stmt, held)
         self._track_check_then_act(stmt, held, recent_gets)
 
+    def _calls(self, node) -> list:
+        """``list(_calls_in(node))``, from :meth:`prepare`'s walk."""
+        calls = self.calls.get(id(node))
+        return list(_calls_in(node)) if calls is None else calls
+
     def _scan_expr(self, node, held) -> None:
-        for call in _calls_in(node):
+        for call in self._calls(node):
             self._record_call(call, held)
 
     def _walk_with(self, stmt, held) -> None:
         new_held = list(held)
         for item in stmt.items:
-            for node in _calls_in(item.context_expr):
+            for node in self._calls(item.context_expr):
                 self._record_call(node, tuple(new_held))
             lock = self.scope.lock_of_expr(item.context_expr)
             if lock is not None:

@@ -137,10 +137,10 @@ def _subscript_index(node):
     return inner
 
 
-def _read_keys(tree, names: set) -> set:
-    """Constant keys read off ``names`` via subscript or ``.get``."""
+def _read_keys(nodes, names: set) -> set:
+    """Constant keys read off ``names`` via subscript or ``.get`` in ``nodes``."""
     keys: set = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Subscript) \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id in names:
@@ -528,7 +528,7 @@ class _RouteExtractor:
         if isinstance(handler, ast.Lambda):
             return self._response_of_expr(handler.body)
         keys: set = set()
-        for node in ast.walk(handler):
+        for node in self.module.walk(handler):
             if isinstance(node, ast.Return) and node.value is not None:
                 keys.update(self._response_of_expr(node.value))
         return tuple(sorted(keys))
@@ -542,7 +542,8 @@ class _RouteExtractor:
             )
             if info is not None:
                 keys: set = set()
-                for node in ast.walk(info.node):
+                module = self.index.modules[info.module_name]
+                for node in module.walk(info.node):
                     if isinstance(node, ast.Return) \
                             and isinstance(node.value, ast.Dict):
                         keys.update(_dict_str_keys(node.value))
@@ -551,22 +552,23 @@ class _RouteExtractor:
 
     def _method_details(self, fdef, env) -> tuple:
         """``(operation, request keys, response keys)`` of a handler method."""
+        nodes = self.module.walk(fdef)
         body_names: set = set()
-        for node in ast.walk(fdef):
+        for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name) \
                     and isinstance(node.value, ast.Call) \
                     and isinstance(node.value.func, ast.Attribute) \
                     and node.value.func.attr == "json":
                 body_names.add(node.targets[0].id)
-        request = tuple(sorted(_read_keys(fdef, body_names)))
+        request = tuple(sorted(_read_keys(nodes, body_names)))
 
         local_env = dict(env)
-        for stmt in ast.walk(fdef):
+        for stmt in nodes:
             if isinstance(stmt, ast.FunctionDef) and stmt is not fdef:
                 local_env[stmt.name] = ("def", stmt)
         operation, response = None, ()
-        for node in ast.walk(fdef):
+        for node in nodes:
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name) \
@@ -594,7 +596,7 @@ class _RouteExtractor:
             info = self.index.functions.get(key)
             if info is None or key[0] not in self.index.modules:
                 continue
-            for node in ast.walk(info.node):
+            for node in self.index.modules[key[0]].walk(info.node):
                 if isinstance(node, ast.Raise) \
                         and isinstance(node.exc, ast.Call) \
                         and isinstance(node.exc.func, ast.Name) \
@@ -628,7 +630,7 @@ class _RouteExtractor:
 def _gateway_metrics(extractor: _RouteExtractor, classdef) -> dict:
     """Operation names, sample prefix and summary keys of one gateway."""
     prefix = None
-    for node in ast.walk(classdef):
+    for node in extractor.module.walk(classdef):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "record_sample" and node.args:
@@ -657,7 +659,7 @@ def _client_prefix(index: FlowIndex, module, class_name: str) -> str:
     init = index.functions.get((module.dotted_name, f"{class_name}.__init__"))
     if init is None:
         return ""
-    for node in ast.walk(init.node):
+    for node in module.walk(init.node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Attribute) \
                 and node.targets[0].attr == "_prefix":
@@ -681,8 +683,9 @@ def _derive_client(index: FlowIndex, module, classdef) -> ClientModel:
                 or info.class_name != classdef.name \
                 or info.name.startswith("_"):
             continue
+        nodes = module.walk(info.node)
         request_call = None
-        for node in ast.walk(info.node):
+        for node in nodes:
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "_request" \
@@ -701,8 +704,8 @@ def _derive_client(index: FlowIndex, module, classdef) -> ClientModel:
             and kw.value.value is True for kw in request_call.keywords
         )
         full_path = path if absolute else prefix + path
-        payload = _payload_keys(info.node, request_call)
-        reads = _response_reads(index, module, info.node, request_call)
+        payload = _payload_keys(nodes, request_call)
+        reads = _response_reads(index, module, nodes, request_call)
         client.entries[info.name] = {
             "method": method,
             "path": full_path,
@@ -713,7 +716,7 @@ def _derive_client(index: FlowIndex, module, classdef) -> ClientModel:
     return client
 
 
-def _payload_keys(fdef, request_call: ast.Call) -> tuple:
+def _payload_keys(nodes, request_call: ast.Call) -> tuple:
     if len(request_call.args) < 3:
         return ()
     payload = request_call.args[2]
@@ -722,7 +725,7 @@ def _payload_keys(fdef, request_call: ast.Call) -> tuple:
     if not isinstance(payload, ast.Name):
         return ()
     keys: set = set()
-    for node in ast.walk(fdef):
+    for node in nodes:
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -738,17 +741,18 @@ def _payload_keys(fdef, request_call: ast.Call) -> tuple:
     return tuple(sorted(keys))
 
 
-def _response_reads(index: FlowIndex, module, fdef,
+def _response_reads(index: FlowIndex, module, nodes,
                     request_call: ast.Call) -> tuple:
-    """Response keys a client method reads off the ``_request`` result."""
+    """Response keys a client method (its ``nodes``, in walk order)
+    reads off the ``_request`` result."""
     result_names: set = set()
-    for node in ast.walk(fdef):
+    for node in nodes:
         if isinstance(node, ast.Assign) and node.value is request_call \
                 and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             result_names.add(node.targets[0].id)
-    keys = _read_keys(fdef, result_names)
-    for node in ast.walk(fdef):
+    keys = _read_keys(nodes, result_names)
+    for node in nodes:
         # ``self._request(...)["key"]`` — read straight off the call.
         if isinstance(node, ast.Subscript) and node.value is request_call:
             key = _const_str(_subscript_index(node))
@@ -765,7 +769,9 @@ def _response_reads(index: FlowIndex, module, fdef,
             if info is not None:
                 params = info.param_names()
                 if params:
-                    keys.update(_read_keys(info.node, {params[0]}))
+                    callee = index.modules[info.module_name]
+                    keys.update(_read_keys(callee.walk(info.node),
+                                           {params[0]}))
     return tuple(sorted(keys))
 
 
@@ -887,16 +893,17 @@ class _ResourceScanner:
     # -- collection --------------------------------------------------
 
     def _collect(self, fdef) -> None:
+        # The whole subtree, nested defs and class bodies included: their
+        # assignments are tracked by name next to the function's own.
         protected: set = set()
-        for node in ast.walk(fdef):
-            if isinstance(node, ast.With) or isinstance(node, ast.AsyncWith):
+        assigns: list = []
+        for node in self.module.walk(fdef):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     protected.add(id(item.context_expr))
-        for node in ast.walk(fdef):
-            if isinstance(node, ast.FunctionDef) and node is not fdef:
-                continue  # nested defs are scanned as their own functions
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                assigns.append(node)
+        for node in assigns:
             value = node.targets[0], node.value
             target, expr = value
             names: list = []
@@ -925,13 +932,14 @@ class _ResourceScanner:
                 )
 
     def _mark_aliases_and_starts(self, fdef) -> None:
-        for node in ast.walk(fdef):
+        nodes = self.module.walk(fdef)
+        for node in nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)) \
                     and isinstance(node.target, ast.Name) \
                     and isinstance(node.iter, ast.Name) \
                     and node.iter.id in self.tracked:
                 self.aliases[node.target.id] = node.iter.id
-        for node in ast.walk(fdef):
+        for node in nodes:
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "start" \
@@ -947,7 +955,7 @@ class _ResourceScanner:
 
     def _escapes(self, fdef) -> set:
         escaped: set = set()
-        for node in ast.walk(fdef):
+        for node in self.module.walk(fdef):
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) \
                     and node.value is not None:
                 for sub in ast.walk(node.value):
@@ -1113,7 +1121,7 @@ def _scan_encode_sites(model: WireModel, shape_model) -> None:
         shaped = shape_model.functions.get(key)
         if shaped is not None:
             facts = shaped.facts
-        for node in ast.walk(info.node):
+        for node in module.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -1213,7 +1221,7 @@ def _scan_blocking(model: WireModel) -> None:
             if info is None or key[0] not in model.index.modules:
                 continue
             module = model.index.modules[key[0]]
-            for node in ast.walk(info.node):
+            for node in module.walk(info.node):
                 if isinstance(node, ast.Call):
                     reason = _blocking_reason(node)
                     if reason is not None:

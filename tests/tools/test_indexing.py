@@ -238,7 +238,6 @@ def test_check_walks_each_module_tree_at_most_once(monkeypatch):
     from repro.tools.check import run_check
 
     loaded = load_indexed_project([SERVING_ROOT], context_paths=())
-    trees = {id(module.tree) for module in loaded.project.modules}
     walks = Counter()
     walk = ast.walk
 
@@ -252,8 +251,11 @@ def test_check_walks_each_module_tree_at_most_once(monkeypatch):
     monkeypatch.undo()
     assert not report.crashes
     assert index_cache_info()["misses"] == 1  # the index built above
-    assert set(walks) <= trees
-    assert max(walks.values()) == 1
+    # The one whole-module walk is the scope walk cached on each module
+    # (``ModuleInfo.nodes`` and the scope lists); no ``ast.walk`` repeats it.
+    assert not walks
+    assert all("_scoped_walk" in vars(module)
+               for module in loaded.project.modules)
     project = loaded.project
     assert project.class_defs() is project.class_defs()
     assert project.subclasses_of(["ReproError"]) \
@@ -282,6 +284,50 @@ def test_index_build_expands_each_node_at_most_once(monkeypatch):
     assert max(expanded.values()) == 1
     # Nothing else is derived while the index is built.
     assert not any("nodes" in vars(module) for module in modules)
+
+
+#: ``ast.iter_child_nodes`` calls per node in one ``repro check`` on a
+#: built index: (mean, max).  One walk of each module, then about one
+#: pass per function for each of race, perf, shape and flow's taint
+#: scopes; the rest reads the shared scope lists.  Reached: serving
+#: 4.49 and 11, the W501 fixture 4.12 and 6.  A new re-walk of the same
+#: nodes fails here; a change that walks less lowers the pins.
+CHECK_EXPANSIONS = {
+    "serving": (SERVING_ROOT, 4.5, 11),
+    "w501_contract": (Path(__file__).resolve().parent
+                      / "wire_fixtures" / "w501_contract", 4.2, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_EXPANSIONS))
+def test_check_expands_each_node_a_pinned_number_of_times(monkeypatch,
+                                                          name):
+    import ast
+    from collections import Counter
+
+    from repro.tools.check import run_check
+
+    target, mean_bound, max_bound = CHECK_EXPANSIONS[name]
+    loaded = load_indexed_project([target], context_paths=())
+    expanded = Counter()
+    iter_child_nodes = ast.iter_child_nodes
+
+    def counting_iter_child_nodes(node):
+        if node._fields:  # not a shared leaf such as ``ast.Load()``
+            expanded[id(node)] += 1
+        return iter_child_nodes(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting_iter_child_nodes)
+    report = run_check([target], context_paths=())
+    monkeypatch.undo()
+    assert not report.crashes
+    assert index_cache_info()["misses"] == 1  # the index built above
+    nodes = {id(node) for module in loaded.project.modules
+             for node in ast.walk(module.tree) if node._fields}
+    assert set(expanded) <= nodes
+    mean = sum(expanded.values()) / len(nodes)
+    assert mean <= mean_bound, f"{mean:.2f} expansions per node"
+    assert max(expanded.values()) <= max_bound
 
 
 def test_appending_a_module_invalidates_the_class_table(tmp_path):

@@ -58,6 +58,18 @@ def test_p301_clean_on_vectorized_and_chunked_forms():
     assert findings(result, "P301", "ok.py") == []
 
 
+def test_p301_scope_corners():
+    """A nested def's assignments feed the enclosing function's array
+    facts; lambdas and nested classes change nothing else."""
+    result = run_fixture("p301_scopes", [AxisLoopRule()])
+    assert [(v.line, v.message.split(" [")[-1])
+            for v in findings(result, "P301")] == [
+        (17, "outer]"),
+        (26, "with_lambda]"),
+        (34, "Table.scan]"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # P302 quadratic-growth
 # ---------------------------------------------------------------------------

@@ -161,3 +161,40 @@ def test_c206_flags_off_lock_class_draw_closure_and_thread_args():
 def test_c206_clean_for_locked_class_and_per_task_generators():
     result = run_fixture("c206_rng", [SharedRngRule()])
     assert findings(result, "C206", "ok.py") == []
+
+
+def test_c205_scope_corners():
+    """Lambdas and class bodies hold no lock; nested defs run in their own
+    scope, yet a lock a method's nested def creates is the class's."""
+    result = run_fixture("c205_scopes", [BlockingUnderLockRule()])
+    assert [(v.line, v.message.split(" [")[-1])
+            for v in findings(result, "C205")] == [
+        (21, "Worker.run]"),
+        (32, "Worker.use_late]"),
+    ]
+
+
+def test_statement_walk_hands_each_scan_the_calls_of_calls_in(monkeypatch):
+    """The calls ``prepare`` files per scanned expression are exactly
+    ``_calls_in``'s, in its order, for every expression the walk scans."""
+    import repro
+    from repro.tools.indexing import clear_index_cache
+    from repro.tools.race import concurrency
+
+    scanned = []
+    calls = concurrency._FunctionWalker._calls
+
+    def checked(walker, node):
+        assert id(node) in walker.calls  # filed by prepare's walk
+        got = calls(walker, node)
+        assert got == list(concurrency._calls_in(node))
+        scanned.append(len(got))
+        return got
+
+    monkeypatch.setattr(concurrency._FunctionWalker, "_calls", checked)
+    serving = Path(repro.__file__).resolve().parent / "serving"
+    clear_index_cache()  # build every race model afresh
+    for target in [serving, *sorted(FIXTURES.iterdir())]:
+        if target.is_dir():
+            run_analyzer("race", [target], root=target, context_paths=())
+    assert len(scanned) > 500 and sum(scanned) > 400

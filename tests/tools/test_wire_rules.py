@@ -157,6 +157,23 @@ def test_w503_clean_on_protected_or_transferred_resources():
     assert findings(result, "W503", "ok.py") == []
 
 
+def test_w503_scope_corners():
+    """Nested defs, class bodies and lambdas, pinned as the scan sees them.
+
+    The scan tracks by name over each function's whole subtree and
+    checks only the statements of the function's own blocks, so the
+    nested def's ``handle`` hides the outer leak, and acquisitions in
+    nested defs and class bodies are never reported; a ``start()`` in a
+    lambda still counts.
+    """
+    result = run_fixture("w503_scopes", [ResourceLifecycleRule()])
+    assert [(v.line, v.message) for v in findings(result, "W503")] == [
+        (40, "thread `worker` is acquired but never released, returned, "
+             "or stored; close it in a finally block or use a context "
+             "manager"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # W504 json-wire-safety
 # ---------------------------------------------------------------------------
