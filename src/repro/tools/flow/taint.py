@@ -14,18 +14,23 @@ comparisons).  This module tracks values *derived from held-out data*:
 * **sinks** — ``.fit`` / ``.fit_transform`` / ``.partial_fit`` calls.
 
 Cross-function flows are handled with per-function summaries (which
-parameters leak into a sink, which flow to the return value) iterated to
-a fixpoint over the project call graph, so a helper that fits whatever it
-is handed is flagged *at the call site that hands it test data*.
+parameters leak into a sink, which flow to the return value) brought to
+a fixpoint over the project call graph on a worklist, so a helper that
+fits whatever it is handed is flagged *at the call site that hands it
+test data*, however deep the chain.  Each function runs once, then again
+only when a callee's summary changed; the summaries only grow over a
+finite set of labels, so the fixpoint needs no round cap.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.tools.flow.graph import CallSite, FlowIndex, FunctionInfo, dotted_path
+from repro.tools.lint.engine import ModuleInfo
 
 __all__ = [
     "SINK_METHODS",
@@ -52,8 +57,6 @@ _PASSTHROUGH = frozenset({
     "list", "sorted",
 })
 
-_MAX_ROUNDS = 20
-
 #: The nodes a scope analysis reads: bindings, loops, returns and calls.
 _HANDLED = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.Return,
             ast.Call)
@@ -68,9 +71,9 @@ class TaintSummary:
     returns_test: bool = False              # body's own source flows to return
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TaintFinding:
-    """One place held-out data reaches training."""
+    """One place held-out data reaches training; ordered by location."""
 
     module_name: str
     lineno: int
@@ -82,30 +85,17 @@ class TaintFinding:
 class _Scope:
     """One analyzable scope: a function body or a module body."""
 
-    module_name: str
+    module: ModuleInfo
     root: ast.AST
     params: tuple = ()
     key: tuple = ("", "")
 
     @cached_property
     def nodes(self) -> list:
-        """The scope's own nodes that :meth:`_ScopeAnalysis.run` handles
-        (see :func:`_scope_nodes`), in walk order, walked once."""
-        return [node for node in _scope_nodes(self.root)
+        """The scope's own nodes that :meth:`_ScopeAnalysis.run` handles,
+        in ``ast.walk`` order, read from the module's shared scope lists."""
+        return [node for node in self.module.own_nodes(self.root)
                 if isinstance(node, _HANDLED)]
-
-
-def _scope_nodes(root: ast.AST):
-    """Walk a scope without descending into nested function/class bodies."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is not root and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class _ScopeAnalysis:
@@ -285,15 +275,14 @@ class _ScopeAnalysis:
     # -- driver ----------------------------------------------------------
 
     def run(self) -> None:
-        for _ in range(_MAX_ROUNDS):
+        changed = True
+        while changed:  # the environment only grows, over finite labels
             changed = False
             for node in self.scope.nodes:
                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                     changed |= self._handle_assign(node)
                 elif isinstance(node, ast.For):
                     changed |= self._handle_for(node)
-            if not changed:
-                break
         for node in self.scope.nodes:
             if isinstance(node, ast.Return):
                 self.returns |= self.eval(node.value)
@@ -343,7 +332,7 @@ class _ScopeAnalysis:
             if TEST_LABEL not in labels:
                 continue
             out.append(TaintFinding(
-                module_name=self.scope.module_name,
+                module_name=self.scope.module.dotted_name,
                 lineno=node.lineno,
                 col=node.col_offset,
                 message=(
@@ -355,47 +344,64 @@ class _ScopeAnalysis:
         return out
 
 
-@dataclass
-class _ProjectTaint:
-    summaries: dict = field(default_factory=dict)
-    findings: list = field(default_factory=list)
-
-
-def _scopes(index: FlowIndex):
-    for key, info in index.functions.items():
-        yield _Scope(
-            module_name=info.module_name,
-            root=info.node,
-            params=tuple(info.all_param_names(skip_self=True)),
-            key=key,
-        )
-    for name, module in index.modules.items():
-        yield _Scope(module_name=name, root=module.tree, key=(name, ""))
+def _caller_positions(index: FlowIndex, position: dict) -> dict:
+    """Callee key -> index positions of the functions that call it."""
+    callers: dict = {}
+    for caller, sites in index.calls.items():
+        if caller in position:
+            for site in sites:
+                if site.target is not None:
+                    callers.setdefault(site.target, set()).add(position[caller])
+    return callers
 
 
 def analyze_project_taint(index: FlowIndex) -> list:
-    """Fixpoint the function summaries, then collect project findings."""
-    state = _ProjectTaint()
-    scopes = list(_scopes(index))
-    function_scopes = [s for s in scopes if s.key in index.functions]
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for scope in function_scopes:
-            analysis = _ScopeAnalysis(index, scope, state.summaries)
-            analysis.run()
-            summary = analysis.summary()
-            if state.summaries.get(scope.key) != summary:
-                state.summaries[scope.key] = summary
-                changed = True
-        if not changed:
-            break
-    seen = set()
-    for scope in scopes:
-        analysis = _ScopeAnalysis(index, scope, state.summaries)
+    """Fixpoint the function summaries on a worklist, then collect the
+    project's findings sorted by location, one per line and message."""
+    scopes = [
+        _Scope(module=index.modules[info.module_name], root=info.node,
+               params=tuple(info.all_param_names(skip_self=True)),
+               key=info.key)
+        for info in index.functions.values()
+    ]
+    position = {scope.key: pos for pos, scope in enumerate(scopes)}
+    callers = _caller_positions(index, position)
+    summaries: dict = {}
+    found = [()] * len(scopes)  # each function's findings of its last run
+    # A heap of (sweep, index position): each sweep handles its queued
+    # scopes in index order.  A caller at or before the changed function
+    # waits for the next sweep, so one run of it sees every callee that
+    # changed in this one, instead of one run per changed callee.
+    queue = [(0, pos) for pos in range(len(scopes))]
+    queued = set(range(len(scopes)))
+    while queue:
+        sweep, pos = heapq.heappop(queue)
+        queued.discard(pos)
+        scope = scopes[pos]
+        analysis = _ScopeAnalysis(index, scope, summaries)
         analysis.run()
-        for finding in analysis.findings():
-            key = (finding.module_name, finding.lineno, finding.message)
-            if key not in seen:
-                seen.add(key)
-                state.findings.append(finding)
-    return state.findings
+        # Final unless a callee's summary changes, which queues it again.
+        found[pos] = analysis.findings()
+        summary = analysis.summary()
+        if summary != summaries.get(scope.key, TaintSummary()):
+            summaries[scope.key] = summary
+            for caller in callers.get(scope.key, set()) - queued:
+                queued.add(caller)
+                heapq.heappush(queue, (sweep + (caller <= pos), caller))
+    findings = [finding for scope_findings in found
+                for finding in scope_findings]
+    for name, module in index.modules.items():
+        analysis = _ScopeAnalysis(
+            index, _Scope(module=module, root=module.tree, key=(name, "")),
+            summaries,
+        )
+        analysis.run()
+        findings.extend(analysis.findings())
+    seen = set()
+    out = []
+    for finding in sorted(findings):
+        key = (finding.module_name, finding.lineno, finding.message)
+        if key not in seen:
+            seen.add(key)
+            out.append(finding)
+    return out

@@ -183,7 +183,7 @@ class ModuleInfo:
     """One parsed source file.
 
     The derived facts (:attr:`dotted_name`, :attr:`nodes` and the scope
-    node lists behind :meth:`walk`, :attr:`bindings`,
+    node lists behind :meth:`walk` and :meth:`own_nodes`, :attr:`bindings`,
     :attr:`numpy_aliases`) are computed on first use and kept on the
     instance; treat them as read-only.
     """
@@ -277,6 +277,43 @@ class ModuleInfo:
         if walked is None:
             walked = self._nested_walks[id(scope)] = _walk_nodes(scope)
         return walked
+
+    def own_nodes(self, scope: ast.AST) -> list:
+        """The own nodes of one scope, in ``ast.walk`` order: ``scope``
+        and every node under it that no nested def, class or lambda
+        encloses, without the shared leaves.
+
+        For :attr:`tree` or a def, class or lambda of it this is the
+        shared list (read it, never change it); a scope node of another
+        tree is walked afresh.
+        """
+        _, own, _ = self._scoped_walk
+        nodes = own.get(id(scope))
+        if nodes is not None:
+            return nodes
+        nodes, level = [], [scope]
+        while level:
+            nodes.extend(level)
+            level = [child for node in level
+                     for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _SHARED_LEAVES + _SCOPE_TYPES)]
+        return nodes
+
+    def scopes_in(self, scope: ast.AST) -> list:
+        """``scope`` and every def, class and lambda nested in it, each
+        before the scopes it holds; from the shared lists when ``scope``
+        is :attr:`tree` or a scope of it, else walked afresh."""
+        _, own, inner = self._scoped_walk
+        if id(scope) not in own:
+            return [scope, *(node for node in _walk_nodes(scope)
+                             if node is not scope
+                             and isinstance(node, _SCOPE_TYPES))]
+        out, stack = [], [scope]
+        while stack:
+            current = stack.pop()
+            out.append(current)
+            stack.extend(reversed(inner.get(id(current), ())))
+        return out
 
     @cached_property
     def _nested_walks(self) -> dict:

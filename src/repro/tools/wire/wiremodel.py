@@ -893,11 +893,11 @@ class _ResourceScanner:
     # -- collection --------------------------------------------------
 
     def _collect(self, fdef) -> None:
-        # The whole subtree, nested defs and class bodies included: their
-        # assignments are tracked by name next to the function's own.
+        # The scope's own nodes: a nested def or class body is a scope
+        # of its own, scanned on its own (see ``_scan_resources``).
         protected: set = set()
         assigns: list = []
-        for node in self.module.walk(fdef):
+        for node in self.module.own_nodes(fdef):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     protected.add(id(item.context_expr))
@@ -954,8 +954,10 @@ class _ResourceScanner:
         return self.aliases.get(name)
 
     def _escapes(self, fdef) -> set:
+        # Only the scope's own returns and stores: a nested def's
+        # ``return`` hands back its own names, not the scope's.
         escaped: set = set()
-        for node in self.module.walk(fdef):
+        for node in self.module.own_nodes(fdef):
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) \
                     and node.value is not None:
                 for sub in ast.walk(node.value):
@@ -1074,7 +1076,8 @@ def _scan_resources(model: WireModel) -> None:
         if module is None or module not in model.index.project.modules:
             continue
         scanner = _ResourceScanner(model, module)
-        scanner.scan(model.index.functions[key].node)
+        for scope in module.scopes_in(model.index.functions[key].node):
+            scanner.scan(scope)
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ HELPERS = {
     "numpy attribute": {"numpy_attr", "_np_name", "_is_numpy_func"},
     "call-target map": {"call_targets", "_call_targets", "_call_target_map"},
     "spec anchoring": {"spec_relpath", "_spec_relpath"},
+    "own nodes of a scope": {"own_nodes", "_scope_nodes"},
 }
 
 

@@ -8,8 +8,12 @@ fixture analyses.
 """
 
 import json
+import shutil
 from pathlib import Path
 
+import pytest
+
+import repro
 from repro.tools.check import run_analyzer
 from repro.tools.flow.rules import (
     ApiDriftRule,
@@ -20,6 +24,7 @@ from repro.tools.flow.rules import (
 )
 
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
+PACKAGE = Path(repro.__file__).resolve().parent
 
 
 def run_fixture(name, rules, spec_path=None):
@@ -87,6 +92,107 @@ def test_f102_suppression_with_reason_is_honored():
     assert "calibration" in suppressed[0].reason
     assert not any(v.path.endswith("suppressed.py")
                    for v in result.unsuppressed)
+
+
+def test_f102_follows_a_helper_chain_of_any_depth():
+    # h0 -> h1 -> ... -> h24, callers defined first; only h24 fits.
+    result = run_fixture("f102_deep_chain", [LeakageTaintRule()])
+    assert [(v.line, v.message) for v in result.unsuppressed
+            if v.code == "F102"] == [
+        (13, "held-out test data reaches training here: value is derived "
+             "from a test split and 'repro.learn.chain:h0' fits on its "
+             "parameter 'data'; fit only on training folds (paper §3.2 "
+             "protocol)"),
+    ]
+
+
+def patched_package(tmp_path, relpath, edits):
+    """Copy the real package under ``tmp_path/src`` and apply ``edits``
+    (``(old, new)`` pairs, each ``old`` found exactly once) to one module;
+    returns the copied module's text."""
+    root = tmp_path / "src" / "repro"
+    shutil.copytree(PACKAGE, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = root / relpath
+    text = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1, f"{relpath} no longer holds {old!r}"
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    return text
+
+
+def f102_in_package(tmp_path):
+    result = run_analyzer(
+        "flow", [tmp_path / "src" / "repro"], rules=[LeakageTaintRule()],
+        root=tmp_path, context_paths=(),
+    )
+    return [v for v in result.unsuppressed + result.suppressed
+            if v.code == "F102"]
+
+
+#: Leaks seeded into the real measurement code: (module, edits, the text
+#: that starts the line F102 must report, how the message says it fits).
+F102_MUTANTS = {
+    "naive_fits_split_X_test": (
+        "analysis/naive.py",
+        [("lr.fit(split.X_train, split.y_train)",
+          "lr.fit(split.X_test, split.y_train)")],
+        "lr.fit(split.X_test", "'.fit()' trains on it",
+    ),
+    "family_fits_X_test": (
+        "analysis/family.py",
+        [("model.fit(X_dev, y_dev)", "model.fit(X_test, y_dev)")],
+        "model.fit(X_test", "'.fit()' trains on it",
+    ),
+    "family_fits_dev_stacked_with_test": (
+        "analysis/family.py",
+        [("model.fit(X_dev, y_dev)",
+          "model.fit(np.vstack([X_dev, X_test]), y_dev)")],
+        "model.fit(np.vstack", "'.fit()' trains on it",
+    ),
+    "family_cross_validates_on_test": (
+        "analysis/family.py",
+        [("model, X_dev, y_dev, cv=n_folds",
+          "model, X_test, y_test, cv=n_folds")],
+        "cross_val_score(\n",
+        "'repro.learn.model_selection:cross_val_score' fits on its parameter",
+    ),
+    "family_preprocesses_test_with_a_fitting_helper": (
+        "analysis/family.py",
+        [("from repro.datasets.corpus import Dataset\n",
+          "from repro.datasets.corpus import Dataset, preprocess\n"),
+         ("model.fit(X_dev, y_dev)", "preprocess(X_test, y_test)")],
+        "preprocess(X_test",
+        "'repro.datasets.corpus:preprocess' fits on its parameter 'X_raw'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F102_MUTANTS))
+def test_f102_catches_a_leak_seeded_into_real_code(tmp_path, name):
+    relpath, edits, at, how = F102_MUTANTS[name]
+    text = patched_package(tmp_path, relpath, edits)
+    line = text[:text.index(at)].count("\n") + 1
+    findings = f102_in_package(tmp_path)
+    assert {(v.path, v.line) for v in findings} == {
+        (f"src/repro/{relpath}", line)}
+    assert all(how in v.message for v in findings)
+
+
+def test_f102_misses_test_data_uploaded_to_a_platform(tmp_path):
+    # A known gap (ROADMAP, "F102 before the taint fixpoint"): taint is
+    # dropped at the platform's dataset store (upload_dataset ->
+    # create_model -> fit), so the runner training every measurement on
+    # the test split goes unreported.  When the store carries taint, this
+    # test should expect F102 at the upload instead.
+    patched_package(tmp_path, "core/runner.py", [(
+        "split.X_train, split.y_train, name=dataset.name\n"
+        "            )\n            try:",
+        "split.X_test, split.y_test, name=dataset.name\n"
+        "            )\n            try:",
+    )])
+    assert f102_in_package(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

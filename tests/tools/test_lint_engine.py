@@ -1,10 +1,12 @@
 """Engine mechanics: suppressions, R000 diagnostics, result shaping."""
 
+import ast
 import textwrap
 import tokenize
+from pathlib import Path
 
 from repro.tools.lint import ENGINE_CODE, LintResult, Violation, lint_source
-from repro.tools.lint.engine import parse_suppressions
+from repro.tools.lint.engine import load_module, parse_suppressions
 from repro.tools.lint.rules import DeterminismRule
 
 
@@ -107,3 +109,31 @@ def test_exit_code_reflects_unsuppressed_only():
         n_files=1,
     )
     assert dirty.exit_code == 1
+
+
+SCOPES_FIXTURE = (Path(__file__).resolve().parent / "wire_fixtures"
+                  / "w503_scopes" / "scopes.py")
+
+
+def _shape(nodes):
+    return [(type(node).__name__, getattr(node, "lineno", None),
+             getattr(node, "col_offset", None)) for node in nodes]
+
+
+def test_own_nodes_partition_the_module_and_match_a_fresh_walk():
+    module, _ = load_module(SCOPES_FIXTURE)
+    scopes = module.scopes_in(module.tree)
+    assert len(scopes) == 1 + sum(
+        isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda))
+        for node in ast.walk(module.tree))
+    owned = [id(node) for scope in scopes for node in module.own_nodes(scope)]
+    assert sorted(owned) == sorted(map(id, module.nodes))  # each in one list
+    # A scope node of another tree (two files sharing a dotted name) is
+    # walked afresh, to the same nodes in the same order.
+    fresh = ast.parse(module.source)
+    fresh_scopes = module.scopes_in(fresh)
+    assert sorted(_shape(fresh_scopes)) == sorted(_shape(scopes))
+    by_place = {_shape([scope])[0]: scope for scope in fresh_scopes}
+    for scope in scopes:
+        assert _shape(module.own_nodes(by_place[_shape([scope])[0]])) \
+            == _shape(module.own_nodes(scope))

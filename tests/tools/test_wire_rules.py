@@ -158,19 +158,22 @@ def test_w503_clean_on_protected_or_transferred_resources():
 
 
 def test_w503_scope_corners():
-    """Nested defs, class bodies and lambdas, pinned as the scan sees them.
+    """Nested defs, class bodies and lambdas: each is a scope of its own.
 
-    The scan tracks by name over each function's whole subtree and
-    checks only the statements of the function's own blocks, so the
-    nested def's ``handle`` hides the outer leak, and acquisitions in
-    nested defs and class bodies are never reported; a ``start()`` in a
-    lambda still counts.
+    Each scope tracks only its own acquisitions and returns, so the
+    nested def's ``handle`` no longer hides the outer leak, and leaks in
+    nested defs and class bodies are reported where they are acquired;
+    a ``start()`` in a lambda still counts for the enclosing scope.
     """
+    never_released = ("is acquired but never released, returned, or "
+                      "stored; close it in a finally block or use a "
+                      "context manager")
     result = run_fixture("w503_scopes", [ResourceLifecycleRule()])
     assert [(v.line, v.message) for v in findings(result, "W503")] == [
-        (40, "thread `worker` is acquired but never released, returned, "
-             "or stored; close it in a finally block or use a context "
-             "manager"),
+        (13, f"file `handle` {never_released}"),
+        (25, f"socket `conn` {never_released}"),
+        (33, f"socket `conn` {never_released}"),
+        (40, f"thread `worker` {never_released}"),
     ]
 
 

@@ -1,8 +1,8 @@
 """W503 scope corners: nested defs, lambdas and class bodies.
 
-The resource scan walks each function's whole subtree, nested defs and
-class bodies included, and keys what it tracks by name; these functions
-pin what that reports.
+Each def, class body and lambda is scanned as a scope of its own, with
+its own acquisitions and returns; a ``start()`` anywhere below a scope
+still counts for it.  These functions pin what that reports.
 """
 
 import socket
@@ -10,7 +10,7 @@ import threading
 
 
 def shadowed_by_nested_def(path):
-    handle = open(path)  # leaks, but the nested def's ``handle`` wins
+    handle = open(path)  # leaks; the nested def's ``handle`` is its own
     text = handle.read()
 
     def reopen(host, port):
