@@ -114,10 +114,19 @@ def _perf_rules(model, spec_path) -> list:
     return default_perf_rules(model, spec_path=spec_path)
 
 
+def _functions(loaded):
+    from repro.tools._interpreter import interpret_functions
+
+    # One interpretation of every function serves perf and shape.
+    return loaded.memo("functions",
+                       lambda: interpret_functions(loaded.index))
+
+
 def _loop_model(loaded):
     from repro.tools.perf.loops import build_loop_model
 
-    return loaded.memo("perf", lambda: build_loop_model(loaded.index))
+    return loaded.memo("perf", lambda: build_loop_model(
+        loaded.index, _functions(loaded)))
 
 
 def _update_perf(loaded, path: Path) -> str:
@@ -138,7 +147,8 @@ def _shape_rules(model, spec_path) -> list:
 def _shape_model(loaded):
     from repro.tools.shape.arrays import build_shape_model
 
-    return loaded.memo("shape", lambda: build_shape_model(loaded.index))
+    return loaded.memo("shape", lambda: build_shape_model(
+        loaded.index, _functions(loaded)))
 
 
 def _update_shape(loaded, path: Path) -> str:

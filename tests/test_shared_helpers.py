@@ -3,7 +3,9 @@
 The six analyzers of ``repro check`` read import tables, source text,
 names and checked-in specs the same way, and two copies of one such
 decision drift apart (lint once kept an import table that skipped the
-relative imports the flow index resolves).  The gate parses
+relative imports the flow index resolves; perf and shape once each
+walked every function with their own block visitor and their own
+reading of a loop's dimension).  The gate parses
 ``src/repro/tools`` and counts the modules defining each helper, under
 every name its copies have gone by.
 
@@ -32,6 +34,10 @@ HELPERS = {
     "call-target map": {"call_targets", "_call_targets", "_call_target_map"},
     "spec anchoring": {"spec_relpath", "_spec_relpath"},
     "own nodes of a scope": {"own_nodes", "_scope_nodes"},
+    "size bound → dimension": {"_classify_size"},
+    "axis of a name": {"_dim_of_name"},
+    "loop dimension of an iterable": {"_classify_iter", "_loop_dim"},
+    "statement-block visitor": {"_visit_block"},
 }
 
 

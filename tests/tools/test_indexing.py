@@ -98,20 +98,47 @@ def _memoized_model(name):
     return loaded, model
 
 
-def test_perf_memoizes_its_loop_model_on_the_shared_entry():
-    loaded, model = _memoized_model("perf")
-    assert model.functions  # and actually populated
-
-
-def test_shape_memoizes_its_shape_model_on_the_shared_entry():
+def test_perf_then_shape_interpret_the_entry_once(monkeypatch):
+    """The loop and shape models are two views of one interpretation,
+    memoized on the shared entry with the models themselves."""
+    from repro.tools import _interpreter
     from repro.tools.check import get_analyzer
 
-    loaded, model = _memoized_model("shape")
-    assert model.functions  # and actually populated
-    # Loop and shape models coexist on one entry without eviction.
-    perf_loaded, _ = _memoized_model("perf")
-    assert perf_loaded is loaded
-    assert get_analyzer("shape").model(loaded) is model
+    builds = []
+    interpret = _interpreter.interpret_functions
+
+    def counting_interpret(index):
+        builds.append(index)
+        return interpret(index)
+
+    monkeypatch.setattr(_interpreter, "interpret_functions",
+                        counting_interpret)
+    loaded, loops = _memoized_model("perf")
+    shape_loaded, arrays = _memoized_model("shape")
+    assert shape_loaded is loaded
+    assert builds == [loaded.index]
+    assert get_analyzer("perf").model(loaded) is loops
+    assert loops.functions  # and actually populated
+    assert set(arrays.functions) == set(loops.functions)
+
+
+def test_check_interprets_each_function_once(monkeypatch):
+    from repro.tools import _interpreter
+    from repro.tools.check import run_check
+
+    loaded = load_indexed_project([SERVING_ROOT], context_paths=())
+    runs = []
+    run = _interpreter._Interpreter.run
+
+    def counting_run(self):
+        runs.append(self.info.key)
+        return run(self)
+
+    monkeypatch.setattr(_interpreter._Interpreter, "run", counting_run)
+    report = run_check([SERVING_ROOT], context_paths=())
+    assert not report.crashes
+    assert len(runs) == len(loaded.index.functions)
+    assert set(runs) == set(loaded.index.functions)
 
 
 def test_wire_memoizes_its_wire_model_on_the_shared_entry():
@@ -287,15 +314,18 @@ def test_index_build_expands_each_node_at_most_once(monkeypatch):
 
 
 #: ``ast.iter_child_nodes`` calls per node in one ``repro check`` on a
-#: built index: (mean, max).  One walk of each module, then about one
-#: pass per function for each of race, perf and shape; the rest, flow's
-#: taint scopes included, reads the shared scope lists.  Reached:
-#: serving 3.63 and 10, the W501 fixture 3.14 and 5.  A new re-walk of
-#: the same nodes fails here; a change that walks less lowers the pins.
+#: built index: (mean, max).  One walk of each module, race's statement
+#: scans, and one level-order walk of each simple statement and loop
+#: header of every function, which perf's loop tree and shape's array
+#: facts share (it expands no name, constant or shared leaf); the rest,
+#: flow's taint scopes included, reads the shared scope lists.
+#: Reached: serving 2.699 and 7, the W501 fixture 2.693 and 4.  A new
+#: re-walk of the same nodes fails here; a change that walks less
+#: lowers the pins.
 CHECK_EXPANSIONS = {
-    "serving": (SERVING_ROOT, 3.64, 10),
+    "serving": (SERVING_ROOT, 2.70, 7),
     "w501_contract": (Path(__file__).resolve().parent
-                      / "wire_fixtures" / "w501_contract", 3.14, 5),
+                      / "wire_fixtures" / "w501_contract", 2.70, 4),
 }
 
 
