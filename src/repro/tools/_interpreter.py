@@ -624,17 +624,19 @@ class _Interpreter:
 
     def run(self) -> tuple:
         """``(FunctionLoops, FunctionArrays)`` of the function."""
-        assigns = []
+        # Arrays come from the function's own assignments, not from those
+        # of a nested def; a cache handle anywhere below it still counts.
+        self._propagate_arrays([
+            node for node in self.module.own_nodes(self.info.node)
+            if type(node) is ast.Assign
+        ])
         source = set()
-        for node in self.module.walk(self.info.node):
+        for node in self.module.iter_subtree(self.info.node):
             kind = type(node)
             if kind is ast.Name:
                 source.add(node.id)
             elif kind is ast.Attribute:
                 source.add(node.attr)
-            elif kind is ast.Assign:
-                assigns.append(node)
-        self._propagate_arrays(assigns)
         self.loops.touches_cache = bool(
             (_CACHE_MARKERS & source) or (_CACHE_MARKERS & self.params)
         )

@@ -1,7 +1,7 @@
 """P301 scope corners: array facts seen through nested defs and lambdas.
 
-The loop model reads a function's simple assignments from its whole
-subtree, nested defs included; these functions pin what that reports.
+The loop model reads a function's simple assignments from its own
+scope only, not from a nested def's; these functions pin what it reports.
 """
 
 import numpy as np
@@ -9,12 +9,12 @@ import numpy as np
 
 def outer(rows):
     def helper():
-        Z = np.zeros(5)  # the nested def's array marks ``Z`` for ``outer``
+        Z = np.zeros(5)  # the nested def's array, not ``outer``'s ``Z``
         return Z
 
     Z = list(rows)
     out = []
-    for value in Z:  # flagged: ``Z`` is taken for an array
+    for value in Z:  # not flagged: ``outer``'s ``Z`` is a list
         out.append(value * 2)
     return out, helper
 
