@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.tools.flow.graph import FlowIndex
 from repro.tools._interpreter import (
     AXIS_NAMES,
     DEPTH_CAP,
@@ -39,6 +38,7 @@ from repro.tools._interpreter import (
     LoopInfo,
     interpret_functions,
 )
+from repro.tools.flow.graph import FlowIndex
 
 __all__ = [
     "AXIS_NAMES",

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.tools.flow.graph import FlowIndex
 from repro.tools._interpreter import (
     DTYPE_RANK,
     ArrayFact,
@@ -49,6 +48,7 @@ from repro.tools._interpreter import (
     interpret_functions,
     join_dtype,
 )
+from repro.tools.flow.graph import FlowIndex
 
 __all__ = [
     "DTYPE_RANK",
