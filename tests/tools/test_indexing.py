@@ -118,6 +118,7 @@ def test_perf_then_shape_interpret_the_entry_once(monkeypatch):
     assert shape_loaded is loaded
     assert builds == [loaded.index]
     assert get_analyzer("perf").model(loaded) is loops
+    assert get_analyzer("shape").model(loaded) is arrays
     assert loops.functions  # and actually populated
     assert set(arrays.functions) == set(loops.functions)
 
