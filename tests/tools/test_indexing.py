@@ -98,6 +98,22 @@ def _memoized_model(name):
     return loaded, model
 
 
+def test_perf_memoizes_its_loop_model_on_the_shared_entry():
+    loaded, model = _memoized_model("perf")
+    assert model.functions  # and actually populated
+
+
+def test_shape_memoizes_its_shape_model_on_the_shared_entry():
+    from repro.tools.check import get_analyzer
+
+    loaded, model = _memoized_model("shape")
+    assert model.functions  # and actually populated
+    # Loop and shape models coexist on one entry without eviction.
+    perf_loaded, _ = _memoized_model("perf")
+    assert perf_loaded is loaded
+    assert get_analyzer("shape").model(loaded) is model
+
+
 def test_perf_then_shape_interpret_the_entry_once(monkeypatch):
     """The loop and shape models are two views of one interpretation,
     memoized on the shared entry with the models themselves."""
